@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-instance, run, sweep, fit, verify.  Exit codes:
-0 success, 2 invariant violation, 3 divergence, 4 configuration error.
+0 success, 2 invariant violation, 3 divergence, 4 configuration error,
+5 numerical failure (quantizer overflow, unstabilizing gain, a solver
+that does not converge or a matrix that is not Schur-stable).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, Divergence
+from .errors import AqgdError, ConfigError, Divergence
 from .harness import (ExperimentConfig, check_trace_invariants, emit_plot_data,
                       fit_rate, parse_config, run_experiment, run_repeats,
                       write_quantiles)
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_DIVERGENCE = 3
 EXIT_CONFIG = 4
+EXIT_NUMERICAL = 5
 
 
 def _cmd_gen_instance(args) -> int:
@@ -169,6 +172,9 @@ def main(argv=None) -> int:
     except Divergence as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except AqgdError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

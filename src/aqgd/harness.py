@@ -286,7 +286,11 @@ def _max_workers() -> int:
     env = os.environ.get("AQGD_THREADS", "")
     if env.strip():
         return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
 def run_repeats(cfg: ExperimentConfig, repeats: int):

@@ -1,11 +1,14 @@
 """Dense-matrix primitives: spectral radius, discrete Lyapunov, DARE.
 
-All solvers are pure functions on immutable inputs and are safe to call
-concurrently.
+The Lyapunov doubling certifies Schur stability from the matrix powers it
+already forms (Gelfand's bound) and takes eigenvalues only when that
+bound fails to certify.  All solvers are pure functions on immutable
+inputs and are safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +57,39 @@ def solve_discrete_lyapunov(
 
     With ``transpose=True`` the twin equation X = W + M X M^T is solved
     instead (used for state covariances rather than cost-to-go matrices).
-    Requires rho(M) < 1 - STABILITY_MARGIN.
+    Requires rho(M) < 1 - STABILITY_MARGIN and raises NotSchurStable
+    otherwise.  After k doublings the iterate holds M^(2^k), so Gelfand's
+    bound rho(M) <= ||M^(2^k)||_F^(1/2^k) certifies stability without
+    eigenvalues; they are taken only when that bound does not.
     """
     M = _as_square(M)
     W = _as_square(W)
     if M.shape != W.shape:
         raise ValueError("M and W must have identical shapes")
-    rho = spectral_radius(M)
-    if rho >= 1.0 - STABILITY_MARGIN:
-        raise NotSchurStable(f"spectral radius {rho:.6g} >= {1.0 - STABILITY_MARGIN}")
     A = M.T.copy() if transpose else M.copy()
 
     X = W.copy()
-    it = 0
-    for it in range(1, max_doublings + 1):
-        inc = A.T @ X @ A
-        X = X + inc
-        inc_norm = float(np.linalg.norm(inc))
-        A = A @ A
-        if inc_norm <= 1e-18 * max(1.0, float(np.linalg.norm(X))):
-            break
+    it = k = 0
+    # an unstable M overflows A and X; the loop stops at the first
+    # non-finite increment and the verdict below rejects M
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_doublings + 1):
+            inc = A.T @ X @ A
+            inc_norm = float(np.linalg.norm(inc))
+            if not math.isfinite(inc_norm):
+                break
+            X = X + inc
+            A = A @ A
+            k = it
+            if inc_norm <= 1e-18 * max(1.0, float(np.linalg.norm(X))):
+                break
+        gelfand = float(np.linalg.norm(A)) ** (0.5**k)  # A = M^(2^k)
+    if not gelfand < 1.0 - STABILITY_MARGIN:
+        rho = spectral_radius(M)
+        if rho >= 1.0 - STABILITY_MARGIN:
+            raise NotSchurStable(
+                f"spectral radius {rho:.6g} >= {1.0 - STABILITY_MARGIN}"
+            )
     X = 0.5 * (X + X.T)
     # residual against the original equation, not the doubled matrix
     Meff = M.T if transpose else M

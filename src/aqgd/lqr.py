@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Unstabilizing
+from .errors import NotSchurStable, Unstabilizing
 from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
 from .optimize import GradOracle
 
@@ -100,21 +100,29 @@ class LtiSystem:
 
 
 def _closed_loop_solves(sys: LtiSystem, K: np.ndarray):
-    """P_K and Sigma_K for a stabilizing K, raising Unstabilizing otherwise."""
+    """(K, P_K, Sigma_K) for a stabilizing K, raising Unstabilizing otherwise.
+
+    The first Lyapunov solve decides stability; eigenvalues are taken
+    only when it fails, to tell an unstable loop (rho >= 1) from a
+    marginal one.  A ValueError (non-finite Q + K'RK from a huge gain) is
+    checked the same way, so an unstable loop reports Unstabilizing first.
+    """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     M = sys.A + sys.B @ K
-    rho = spectral_radius(M)
-    if rho >= 1.0:
-        raise Unstabilizing(f"closed loop has spectral radius {rho:.6g} >= 1")
-    P = solve_discrete_lyapunov(M, sys.Q + K.T @ sys.R @ K).P
+    try:
+        P = solve_discrete_lyapunov(M, sys.Q + K.T @ sys.R @ K).P
+    except (NotSchurStable, ValueError):
+        rho = spectral_radius(M)
+        if rho >= 1.0:
+            raise Unstabilizing(
+                f"closed loop has spectral radius {rho:.6g} >= 1") from None
+        raise
     Sig = solve_discrete_lyapunov(M, sys.Sigma_w, transpose=True).P
     return K, P, Sig
 
 
-def lqr_cost(sys: LtiSystem, K) -> float:
-    """Steady-state cost trace(P_K Sigma_w), cross-checked against the
-    dual closed form trace((Q + K'RK) Sigma_K)."""
-    K, P, Sig = _closed_loop_solves(sys, K)
+def _cost(sys: LtiSystem, K: np.ndarray, P: np.ndarray, Sig: np.ndarray) -> float:
+    """lqr_cost from the closed-loop solves of K."""
     J = float(np.trace(P @ sys.Sigma_w))
     J_dual = float(np.trace((sys.Q + K.T @ sys.R @ K) @ Sig))
     scale = max(abs(J), abs(J_dual), 1e-30)
@@ -125,10 +133,20 @@ def lqr_cost(sys: LtiSystem, K) -> float:
     return J
 
 
+def _grad(sys: LtiSystem, K: np.ndarray, P: np.ndarray, Sig: np.ndarray) -> np.ndarray:
+    """lqr_grad from the closed-loop solves of K."""
+    return 2.0 * ((sys.R + sys.B.T @ P @ sys.B) @ K + sys.B.T @ P @ sys.A) @ Sig
+
+
+def lqr_cost(sys: LtiSystem, K) -> float:
+    """Steady-state cost trace(P_K Sigma_w), cross-checked against the
+    dual closed form trace((Q + K'RK) Sigma_K)."""
+    return _cost(sys, *_closed_loop_solves(sys, K))
+
+
 def lqr_grad(sys: LtiSystem, K) -> np.ndarray:
     """Exact policy gradient 2((R + B'P_K B)K + B'P_K A) Sigma_K."""
-    K, P, Sig = _closed_loop_solves(sys, K)
-    return 2.0 * ((sys.R + sys.B.T @ P @ sys.B) @ K + sys.B.T @ P @ sys.A) @ Sig
+    return _grad(sys, *_closed_loop_solves(sys, K))
 
 
 def dare_optimum(sys: LtiSystem, tol: float = 1e-12):
@@ -434,8 +452,8 @@ class LqrOracle(GradOracle):
     def _exact(self, x):
         key = x.tobytes()
         if key != self._cache_key:
-            K = self.adapter.to_mat(x)
-            self._cache_val = (lqr_cost(self.sys, K), lqr_grad(self.sys, K))
+            solves = _closed_loop_solves(self.sys, self.adapter.to_mat(x))
+            self._cache_val = (_cost(self.sys, *solves), _grad(self.sys, *solves))
             self._cache_key = key
         return self._cache_val
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aqgd import harness
 from aqgd.cli import main
 from aqgd.errors import ConfigError
 from aqgd.harness import (ExperimentConfig, RateFit, compare_rates,
@@ -135,6 +136,19 @@ class TestFitRate:
 
 
 class TestRepeatsAndOutput:
+    def test_worker_count_from_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("AQGD_THREADS", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert harness._max_workers() == 3
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness._max_workers() == 8
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness._max_workers() == 1
+        monkeypatch.setenv("AQGD_THREADS", "2")
+        assert harness._max_workers() == 2
+
     def test_run_repeats_quantiles(self, tmp_path):
         cfg = ExperimentConfig(problem="quadratic", d=6, kappa=15.0, T=60)
         traces, summaries, q = run_repeats(cfg, repeats=4)
@@ -217,3 +231,14 @@ class TestCli:
         cfg.write_text("problem = quadratic\nd = 6\nkappa = 20\n"
                        "alpha = 10.0\nT = 200\n")
         assert main(["run", str(cfg)]) == 3
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # the quantizer range shrinks to the floating-point floor and the
+        # run ends in Overflow; the CLI reports it in one line
+        cfg = write_config(tmp_path / "pl.cfg",
+                           "problem = pl-nonconvex\nalgorithm = aqgd\n"
+                           "d = 4\nT = 3000\n")
+        assert main(["run", cfg]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Overflow:")
+        assert err.count("\n") == 1

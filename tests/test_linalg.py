@@ -1,8 +1,32 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import aqgd.linalg
 from aqgd.errors import NotSchurStable
-from aqgd.linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
+from aqgd.linalg import (STABILITY_MARGIN, solve_dare, solve_discrete_lyapunov,
+                         spectral_radius)
+
+
+def _with_radius(rho, kind):
+    """A matrix of spectral radius rho: scalar, scaled rotation (complex
+    pair) or upper-triangular with an off-diagonal of 10 (non-normal)."""
+    if kind == "scalar":
+        return np.array([[rho]])
+    if kind == "rotation":
+        th = 0.7
+        return rho * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return np.array([[rho, 10.0], [0.0, 0.5 * rho]])
+
+
+def _kron_solution(M, W, transpose):
+    """vec(X) = (I - M'(x)M')^{-1} vec(W), column-major vec; the twin
+    equation X = W + M X M' uses M (x) M."""
+    F = np.kron(M, M) if transpose else np.kron(M.T, M.T)
+    n = M.shape[0]
+    x = np.linalg.solve(np.eye(n * n) - F, W.reshape(-1, order="F"))
+    return x.reshape((n, n), order="F")
 
 
 class TestSpectralRadius:
@@ -47,6 +71,43 @@ class TestLyapunov:
     def test_marginally_stable_raises(self):
         with pytest.raises(NotSchurStable):
             solve_discrete_lyapunov(np.array([[1.0 - 1e-12]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("kind", ["scalar", "rotation", "nonnormal"])
+    @pytest.mark.parametrize("rho", [0.3, 0.9, 0.999, 1 - 1e-9, 1.0, 1.3, 10.0])
+    def test_stability_verdict(self, rho, kind, transpose):
+        # NotSchurStable exactly when rho >= 1 - margin, with no overflow
+        # warning on the way; stable solutions match the Kronecker solve
+        M = _with_radius(rho, kind)
+        W = np.eye(M.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rho >= 1.0 - STABILITY_MARGIN:
+                with pytest.raises(NotSchurStable):
+                    solve_discrete_lyapunov(M, W, transpose=transpose)
+                return
+            X = solve_discrete_lyapunov(M, W, transpose=transpose).P
+        ref = _kron_solution(M, W, transpose)
+        assert np.allclose(X, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_strongly_non_normal_stable(self, transpose):
+        # ||M^k|| peaks near 1e3 before decaying; rho = 0.5
+        M = np.array([[0.5, 1e3], [0.0, 0.5]])
+        W = np.eye(2)
+        X = solve_discrete_lyapunov(M, W, transpose=transpose).P
+        ref = _kron_solution(M, W, transpose)
+        assert np.allclose(X, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+    def test_normal_stable_needs_no_eigenvalues(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(aqgd.linalg, "spectral_radius",
+                            lambda M: calls.append(M) or spectral_radius(M))
+        for rho in (0.3, 0.9, 0.999):
+            for transpose in (False, True):
+                solve_discrete_lyapunov(_with_radius(rho, "rotation"), np.eye(2),
+                                        transpose=transpose)
+        assert calls == []
 
 
 class TestDare:

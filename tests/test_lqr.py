@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import aqgd.linalg
+import aqgd.lqr
 from aqgd.errors import Unstabilizing
 from aqgd.linalg import spectral_radius
 from aqgd.lqr import (EstimatorConfig, LtiSystem, PolicyVecAdapter,
@@ -333,10 +335,38 @@ class TestOracle:
     def test_exact_mode_matches_analytic_gradient(self):
         sys = random_stable_instance(3, 2, seed=20)
         orc = make_lqr_oracle(sys, mode="exact")
-        x = orc.x0()
-        K = orc.adapter.to_mat(x)
-        assert np.array_equal(orc.eval_grad(x), orc.adapter.to_vec(lqr_grad(sys, K)))
-        assert orc.eval_f(x) == lqr_cost(sys, K)
+        rng = np.random.default_rng(20)
+        for scale in (0.0, 0.01, 0.05, 0.1):
+            x = orc.x0() + scale * rng.standard_normal(orc.d)
+            K = orc.adapter.to_mat(x)
+            assert np.array_equal(orc.eval_grad(x),
+                                  orc.adapter.to_vec(lqr_grad(sys, K)))
+            assert orc.eval_f(x) == lqr_cost(sys, K)
+
+    def test_one_closed_loop_solve_per_iterate(self, monkeypatch):
+        sys = random_stable_instance(4, 2, seed=23)
+        orc = make_lqr_oracle(sys)
+        calls = {"lyapunov": 0, "eig": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(aqgd.lqr, "solve_discrete_lyapunov",
+                            counted("lyapunov", aqgd.lqr.solve_discrete_lyapunov))
+        monkeypatch.setattr(aqgd.linalg, "spectral_radius",
+                            counted("eig", aqgd.linalg.spectral_radius))
+        monkeypatch.setattr(aqgd.lqr, "spectral_radius",
+                            counted("eig", aqgd.lqr.spectral_radius))
+        x = orc.x0() + 0.01
+        orc.f_gap(x)
+        orc.eval_grad(x)
+        assert calls == {"lyapunov": 2, "eig": 0}
+        orc.f_gap(x.copy())
+        orc.eval_grad(x.copy())
+        assert calls == {"lyapunov": 2, "eig": 0}
 
     def test_f_star_from_riccati(self):
         sys = random_stable_instance(3, 2, seed=21)
@@ -348,8 +378,14 @@ class TestOracle:
     def test_unstabilizing_surfaces(self):
         sys = LtiSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
         orc = make_lqr_oracle(sys)
-        with pytest.raises(Unstabilizing):
+        with pytest.raises(Unstabilizing, match="spectral radius 1.5 >= 1"):
             orc.eval_f(np.array([1.5]))
+        with pytest.raises(Unstabilizing, match="spectral radius 1 >= 1"):
+            orc.eval_grad(np.array([1.0]))
+        # Q + K'RK overflows before the closed loop is found unstable
+        with np.errstate(over="ignore"), \
+                pytest.raises(Unstabilizing, match="spectral radius 1e\\+200 >= 1"):
+            orc.eval_f(np.array([1e200]))
 
     def test_modelfree_noisy_gradient_shape(self):
         sys = random_stable_instance(3, 2, seed=22)
