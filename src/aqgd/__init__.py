@@ -5,11 +5,11 @@ application."""
 from .errors import (AqgdError, ConfigError, Divergence, NoConvergence,
                      NotSchurStable, Overflow, Unstabilizing)
 from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
-from .lqr import (EstimatorConfig, LqrConstants, LtiSystem, PolicyVecAdapter,
-                  calibrate_noise, constants_for, dare_optimum,
-                  epsilon_schedule, estimate_gradient,
+from .lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
+                  PolicyVecAdapter, calibrate_noise, constants_for,
+                  dare_optimum, epsilon_schedule, estimate_gradient,
                   estimate_local_smoothness, lqr_constants, lqr_cost, lqr_grad,
-                  make_lqr_oracle, random_stable_instance, rollout)
+                  random_stable_instance, rollout)
 from .optimize import (GradOracle, OptState, RunTrace, aqgd_step,
                        bar_epsilon_sq, default_alpha, init_state, naqgd_step,
                        potential, rate_threshold_b, run)

@@ -16,9 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import AqgdError, ConfigError, Divergence
-from .harness import (ExperimentConfig, check_trace_invariants, emit_plot_data,
-                      fit_rate, parse_config, run_experiment, run_repeats,
-                      write_quantiles)
+from .harness import (ExperimentConfig, check_trace_invariants, config_value,
+                      emit_plot_data, fit_rate, parse_config, run_experiment,
+                      run_repeats, write_quantiles)
 from .lqr import random_stable_instance
 from .optimize import RunTrace
 
@@ -75,8 +75,7 @@ def _cmd_sweep(args) -> int:
         key, _, vals = spec.partition("=")
         if not vals:
             raise ConfigError(f"sweep spec {spec!r} needs key=v1,v2,...")
-        kind = type(getattr(base, key))
-        grid[key] = [kind(v) for v in vals.split(",")]
+        grid[key] = [config_value(key, v) for v in vals.split(",")]
     bad = 0
     for combo in itertools.product(*grid.values()):
         cfg = replace(base, **dict(zip(grid.keys(), combo)))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import lqr as lqr_mod
 from .errors import ConfigError
-from .optimize import RunTrace, potential, rate_threshold_b, run
+from .optimize import RunTrace, default_alpha, rate_threshold_b, run
 from .problems import SineBowl, make_quadratic
 from .quantize import QuantizerSpec, build_net, decode, encode, scalar_spec
 
@@ -70,6 +70,22 @@ class ExperimentConfig:
 _FIELD_TYPES = {f.name: f.type for f in ExperimentConfig.__dataclass_fields__.values()}
 
 
+def config_value(key: str, text: str):
+    """The typed value of config key ``key`` written as ``text``; raises
+    ConfigError for an unknown key or a value of the wrong type."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown key {key!r}")
+    kind = _FIELD_TYPES[key]
+    try:
+        if kind == "int":
+            return int(text)
+        if kind == "float":
+            return float(text)
+        return text
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from None
+
+
 def parse_config(path) -> ExperimentConfig:
     """Flat `key = value` lines, `#` comments, blank lines ignored."""
     values = {}
@@ -81,18 +97,10 @@ def parse_config(path) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _FIELD_TYPES[key]
             try:
-                if kind == "int":
-                    values[key] = int(val)
-                elif kind == "float":
-                    values[key] = float(val)
-                else:
-                    values[key] = val
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+                values[key] = config_value(key, val)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
@@ -117,8 +125,8 @@ def _build_problem(cfg: ExperimentConfig):
                                                  rho_target=cfg.rho_target)
         est = lqr_mod.EstimatorConfig(ell=cfg.ell, N=cfg.N, r=cfg.r, seed=seed)
         mode = "modelfree" if cfg.problem == "lqr-modelfree" else "exact"
-        oracle = lqr_mod.make_lqr_oracle(sys, mode=mode,
-                                         cfg=est if mode == "modelfree" else None)
+        oracle = lqr_mod.LqrOracle(sys, mode=mode,
+                                   cfg=est if mode == "modelfree" else None)
         # the worst-case smoothness constant is far too conservative to
         # drive the range recursion at experiment scale; measure the
         # local one around the initial gain instead
@@ -151,7 +159,7 @@ def _build_problem(cfg: ExperimentConfig):
     else:
         gamma = (1.0 / 3.0) * (1.0 - 1.0 / max(kappa, 1.0 + 1e-9))
         quant = build_net(oracle.d, gamma)
-    alpha = cfg.alpha if cfg.alpha > 0 else 1.0 / (6.0 * oracle.L)
+    alpha = cfg.alpha if cfg.alpha > 0 else default_alpha(oracle)
     if cfg.R0 > 0:
         R0 = cfg.R0
     else:

@@ -18,6 +18,13 @@ from .errors import NoConvergence, NotSchurStable
 # Declare "not Schur-stable" when rho(M) >= 1 - this margin; guards the
 # infinite-sum semantics of the Lyapunov solution.
 STABILITY_MARGIN = 1e-8
+# Lyapunov: residual bound relative to the size of the equation, and the
+# cap on doubling rounds
+LYAPUNOV_TOL = 1e-9
+LYAPUNOV_MAX_DOUBLINGS = 200
+# Riccati iteration: relative step at which it stops, and its cap
+DARE_TOL = 1e-12
+DARE_MAX_ITER = 1_000_000
 
 
 def _as_square(M) -> np.ndarray:
@@ -46,13 +53,7 @@ class LyapunovSolution:
     iterations: int
 
 
-def solve_discrete_lyapunov(
-    M,
-    W,
-    tol: float = 1e-9,
-    transpose: bool = False,
-    max_doublings: int = 200,
-) -> LyapunovSolution:
+def solve_discrete_lyapunov(M, W, transpose: bool = False) -> LyapunovSolution:
     """Solve X = W + M^T X M by doubling the power of M each round.
 
     With ``transpose=True`` the twin equation X = W + M X M^T is solved
@@ -60,7 +61,9 @@ def solve_discrete_lyapunov(
     Requires rho(M) < 1 - STABILITY_MARGIN and raises NotSchurStable
     otherwise.  After k doublings the iterate holds M^(2^k), so Gelfand's
     bound rho(M) <= ||M^(2^k)||_F^(1/2^k) certifies stability without
-    eigenvalues; they are taken only when that bound does not.
+    eigenvalues; they are taken only when that bound does not.  The
+    residual may be at most LYAPUNOV_TOL times the size of the equation,
+    max(1, ||W|| + ||M||^2 ||X||), so that large correct solutions pass.
     """
     M = _as_square(M)
     W = _as_square(W)
@@ -73,7 +76,7 @@ def solve_discrete_lyapunov(
     # an unstable M overflows A and X; the loop stops at the first
     # non-finite increment and the verdict below rejects M
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_doublings + 1):
+        for it in range(1, LYAPUNOV_MAX_DOUBLINGS + 1):
             inc = A.T @ X @ A
             inc_norm = float(np.linalg.norm(inc))
             if not math.isfinite(inc_norm):
@@ -94,23 +97,19 @@ def solve_discrete_lyapunov(
     # residual against the original equation, not the doubled matrix
     Meff = M.T if transpose else M
     residual = float(np.linalg.norm(X - W - Meff.T @ X @ Meff))
-    if residual > tol:
-        raise NoConvergence(
-            f"Lyapunov residual {residual:.3g} above tolerance {tol:.3g} "
-            f"after {it} doublings"
-        )
+    if residual > LYAPUNOV_TOL:  # the relative bound below is never tighter
+        size = float(np.linalg.norm(W)) \
+            + float(np.linalg.norm(M)) ** 2 * float(np.linalg.norm(X))
+        tol = LYAPUNOV_TOL * max(1.0, size)
+        if residual > tol:
+            raise NoConvergence(
+                f"Lyapunov residual {residual:.3g} above tolerance {tol:.3g} "
+                f"after {it} doublings"
+            )
     return LyapunovSolution(P=X, residual=residual, iterations=it)
 
 
-def solve_dare(
-    A,
-    B,
-    Q,
-    R,
-    Sigma_w=None,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-):
+def solve_dare(A, B, Q, R, Sigma_w=None):
     """Riccati fixed-point iteration from P0 = Q.
 
     Returns ``(Pstar, Kstar, Jstar)`` where Kstar = -(R + B'PB)^{-1} B'PA
@@ -124,18 +123,19 @@ def solve_dare(
     if B.ndim != 2 or B.shape[0] != A.shape[0]:
         raise ValueError("B must be n x m")
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         BtP = B.T @ P
         G = R + BtP @ B
         K = -np.linalg.solve(G, BtP @ A)
         P_next = Q + A.T @ P @ (A + B @ K)
         P_next = 0.5 * (P_next + P_next.T)
-        if np.linalg.norm(P_next - P) <= tol * max(1.0, float(np.linalg.norm(P_next))):
+        step = float(np.linalg.norm(P_next - P))
+        if step <= DARE_TOL * max(1.0, float(np.linalg.norm(P_next))):
             P = P_next
             break
         P = P_next
     else:
-        raise NoConvergence(f"DARE iteration cap {max_iter} reached")
+        raise NoConvergence(f"DARE iteration cap {DARE_MAX_ITER} reached")
     BtP = B.T @ P
     Kstar = -np.linalg.solve(R + BtP @ B, BtP @ A)
     if Sigma_w is None:

@@ -17,6 +17,8 @@ from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
 from .optimize import GradOracle
 
 STATE_BLOWUP = 1e12
+# the empirical smoothness and noise bounds are inflated by this factor
+SAFETY = 1.5
 
 
 def _check_spd(M: np.ndarray, name: str, strict: bool = True) -> None:
@@ -149,9 +151,9 @@ def lqr_grad(sys: LtiSystem, K) -> np.ndarray:
     return _grad(sys, *_closed_loop_solves(sys, K))
 
 
-def dare_optimum(sys: LtiSystem, tol: float = 1e-12):
+def dare_optimum(sys: LtiSystem):
     """(Pstar, Kstar, Jstar) for the infinite-horizon problem."""
-    return solve_dare(sys.A, sys.B, sys.Q, sys.R, Sigma_w=sys.Sigma_w, tol=tol)
+    return solve_dare(sys.A, sys.B, sys.Q, sys.R, Sigma_w=sys.Sigma_w)
 
 
 @dataclass(frozen=True)
@@ -360,30 +362,29 @@ def epsilon_schedule(consts: LqrConstants, m: int, n: int, r: float, ell: int,
     return term1 + term2 + term3 + term4
 
 
-def random_stable_instance(n: int, m: int, seed: int, rho_target: float = 0.8,
-                           q_scale: float = 5.0, r_scale: float = 5.0) -> LtiSystem:
+def random_stable_instance(n: int, m: int, seed: int,
+                           rho_target: float = 0.8) -> LtiSystem:
     """Gaussian A rescaled to spectral radius rho_target, Gaussian B,
-    Q = q_scale I, R = r_scale I, Sigma_w = I."""
+    Q = 5 I, R = 5 I, Sigma_w = I."""
     if not 0.0 < rho_target < 1.0:
         raise ValueError("rho_target must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     A *= rho_target / spectral_radius(A)
     B = rng.standard_normal((n, m))
-    return LtiSystem(A, B, q_scale * np.eye(n), r_scale * np.eye(m), np.eye(n))
+    return LtiSystem(A, B, 5.0 * np.eye(n), 5.0 * np.eye(m), np.eye(n))
 
 
 def estimate_local_smoothness(sys: LtiSystem, K0, radius: float,
-                              samples: int = 40, seed: int = 0,
-                              safety: float = 1.5) -> float:
+                              seed: int = 0) -> float:
     """Empirical Lipschitz constant of the gradient near K0: the max
-    gradient-difference ratio over random perturbation pairs within the
-    given radius, inflated by a safety factor."""
+    gradient-difference ratio over 40 random perturbations of K0 within
+    the given radius, inflated by SAFETY."""
     K0 = np.atleast_2d(np.asarray(K0, dtype=float))
     rng = np.random.default_rng(seed)
     g0 = lqr_grad(sys, K0)
     best = 0.0
-    for _ in range(samples):
+    for _ in range(40):
         d = rng.standard_normal(K0.shape)
         d *= radius * rng.uniform(0.1, 1.0) / np.linalg.norm(d)
         try:
@@ -393,14 +394,14 @@ def estimate_local_smoothness(sys: LtiSystem, K0, radius: float,
         best = max(best, float(np.linalg.norm(g1 - g0) / np.linalg.norm(d)))
     if best == 0.0:
         raise ValueError("no stabilizing perturbation found; shrink the radius")
-    return safety * best
+    return SAFETY * best
 
 
-def calibrate_noise(sys: LtiSystem, K0, cfg: EstimatorConfig, calls: int = 5,
-                    safety: float = 1.5) -> float:
+def calibrate_noise(sys: LtiSystem, K0, cfg: EstimatorConfig,
+                    calls: int = 5) -> float:
     """Empirical bound on the estimator error: max Frobenius distance
     between the estimate and the exact gradient over repeated calls,
-    inflated by a safety factor."""
+    inflated by SAFETY."""
     K0 = np.atleast_2d(np.asarray(K0, dtype=float))
     g = lqr_grad(sys, K0)
     worst = 0.0
@@ -409,7 +410,7 @@ def calibrate_noise(sys: LtiSystem, K0, cfg: EstimatorConfig, calls: int = 5,
         # with the streams used by the optimization run itself
         ghat = estimate_gradient(sys, K0, cfg, t=10**9 + c)
         worst = max(worst, float(np.linalg.norm(ghat - g)))
-    return safety * worst
+    return SAFETY * worst
 
 
 class LqrOracle(GradOracle):
@@ -422,9 +423,7 @@ class LqrOracle(GradOracle):
     """
 
     def __init__(self, sys: LtiSystem, mode: str = "exact",
-                 cfg: EstimatorConfig | None = None,
-                 consts: LqrConstants | None = None,
-                 K0=None, L_override: float | None = None):
+                 cfg: EstimatorConfig | None = None, K0=None):
         if mode not in ("exact", "modelfree"):
             raise ValueError(f"unknown oracle mode {mode!r}")
         if mode == "modelfree" and cfg is None:
@@ -436,8 +435,8 @@ class LqrOracle(GradOracle):
         self.d = self.adapter.dim
         self.K0 = (np.zeros((sys.m, sys.n)) if K0 is None
                    else np.atleast_2d(np.asarray(K0, dtype=float)))
-        self.consts = consts if consts is not None else constants_for(sys, K0=self.K0)
-        self.L = L_override if L_override is not None else self.consts.L
+        self.consts = constants_for(sys, K0=self.K0)
+        self.L = self.consts.L
         self.mu = self.consts.mu
         self.G = self.consts.G
         self.D = self.consts.D
@@ -468,8 +467,3 @@ class LqrOracle(GradOracle):
             raise NotImplementedError("exact-mode oracle has no noisy gradient")
         K = self.adapter.to_mat(np.asarray(x, dtype=float))
         return self.adapter.to_vec(estimate_gradient(self.sys, K, self.cfg, t=t))
-
-
-def make_lqr_oracle(sys: LtiSystem, mode: str = "exact",
-                    cfg: EstimatorConfig | None = None, **kwargs) -> LqrOracle:
-    return LqrOracle(sys, mode=mode, cfg=cfg, **kwargs)

@@ -227,13 +227,11 @@ def bar_epsilon_sq(eps, t: int, alpha: float, mu: float) -> float:
     return best
 
 
-def rate_threshold_b(d: int, kappa: float, C: float = 1.0) -> int:
+def rate_threshold_b(d: int, kappa: float) -> int:
     """Smallest per-component bit count preserving the unquantized rate.
 
-    Enforces the operative condition 9 gamma^2 <= 1 - 1/(12 kappa) with
-    gamma = sqrt(d)/2^b.  ``C`` scales the headline log-form bound
-    C log(d kappa / (kappa - 1)) but the condition above is what is
-    checked.
+    Returns the smallest b in 1..64 meeting the operative condition
+    9 gamma^2 <= 1 - 1/(12 kappa) with gamma = sqrt(d)/2^b.
     """
     if kappa <= 1.0:
         raise ValueError("kappa must exceed 1")
@@ -264,8 +262,6 @@ def run(
     R0: float,
     T: int,
     eps_schedule=None,
-    x0=None,
-    divergence_factor: float = DIVERGENCE_FACTOR,
 ) -> RunTrace:
     """Run T steps of AQGD or NAQGD and return the populated trace.
 
@@ -284,7 +280,7 @@ def run(
                 "noise bound exceeds the gradient bound G; the convergence "
                 "envelope is not guaranteed", stacklevel=2,
             )
-    state = init_state(oracle, quant, alpha, R0, x0=x0)
+    state = init_state(oracle, quant, alpha, R0)
     if not noisy:
         g0 = float(np.linalg.norm(oracle.eval_grad(state.x)))
         if g0 > R0:
@@ -314,12 +310,12 @@ def run(
         bits[t] = state.bits_sent
         V[t] = potential(alpha, gap, state.R, loop_kind, prev_gap, prev_R)
         if t == 0 and gap != 0.0:
-            guard = divergence_factor * abs(gap)
+            guard = DIVERGENCE_FACTOR * abs(gap)
         elif t == 0:
-            guard = divergence_factor
+            guard = DIVERGENCE_FACTOR
         if gap > guard:
             raise Divergence(
-                f"f-gap {gap:.3g} exceeded {divergence_factor:.1g}x its "
+                f"f-gap {gap:.3g} exceeded {DIVERGENCE_FACTOR:.1g}x its "
                 f"initial value at iteration {t}"
             )
         if t == T:

@@ -115,10 +115,10 @@ def check_gradient_domination(oracle: GradOracle, mu: float,
 
 class PerturbedOracle(GradOracle):
     """Wraps an exact oracle; noisy gradients are grad + eps_t * u with a
-    fixed unit direction, so the noise magnitude exactly matches a
-    prescribed schedule."""
+    fixed seeded unit direction u, so the noise magnitude exactly matches
+    a prescribed schedule."""
 
-    def __init__(self, base: GradOracle, eps_schedule, direction=None, seed=None):
+    def __init__(self, base: GradOracle, eps_schedule, seed: int = 0):
         self.base = base
         self.eps = np.asarray(eps_schedule, dtype=float)
         self.d = base.d
@@ -126,11 +126,7 @@ class PerturbedOracle(GradOracle):
         self.mu = base.mu
         self.G = base.G
         self.f_star = base.f_star
-        if direction is not None:
-            u = np.asarray(direction, dtype=float)
-        else:
-            rng = np.random.default_rng(0 if seed is None else seed)
-            u = rng.standard_normal(self.d)
+        u = np.random.default_rng(seed).standard_normal(self.d)
         self.u = u / np.linalg.norm(u)
 
     def x0(self) -> np.ndarray:

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import Overflow
 
+# build_net refuses a codebook size bound (2/gamma + 1)^d above this
+NET_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class CodeFrame:
@@ -150,28 +153,22 @@ def _uncovered(points: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndar
     return np.sqrt(np.maximum(d2.min(axis=1), 0.0)) > gamma
 
 
-def build_net(
-    d: int,
-    gamma: float,
-    cap: int = 200_000,
-    seed: int = 20240817,
-    confirm_batches: int = 3,
-    confirm_size: int = 100_000,
-) -> QuantizerSpec:
+def build_net(d: int, gamma: float) -> QuantizerSpec:
     """Greedy maximal gamma-packing of the unit ball (hence a gamma-cover).
 
     Points are pairwise more than gamma apart, which bounds the codebook
-    size by (2/gamma + 1)**d; the covering property is verified by
-    rejection sampling at build time.  Intended for d <= 6.
+    size by (2/gamma + 1)**d; the covering property is verified at build
+    time by three consecutive clean rejection-sampling batches of 100 000
+    points.  Intended for d <= 6.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     bound = (2.0 / gamma + 1.0) ** d
-    if bound > cap:
+    if bound > NET_CAP:
         raise ValueError(
-            f"codebook bound (2/gamma+1)^d = {bound:.3g} exceeds cap {cap}"
+            f"codebook bound (2/gamma+1)^d = {bound:.3g} exceeds cap {NET_CAP}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240817)  # fixed: codebooks are reproducible
     centers = [np.zeros(d)]
 
     def grow(batch: np.ndarray) -> int:
@@ -198,8 +195,8 @@ def build_net(
             break
     # confirmation phase: consecutive clean rejection-sampling batches
     clean = 0
-    while clean < confirm_batches:
-        batch = _sample_ball(rng, confirm_size, d)
+    while clean < 3:
+        batch = _sample_ball(rng, 100_000, d)
         mask = _uncovered(batch, np.array(centers), gamma)
         if not mask.any():
             clean += 1

@@ -188,10 +188,10 @@ def test_criterion_06_lqr_gradient(capsys):
 
 
 def test_criterion_07_exact_gradient_lqr(lqr_instance, capsys):
-    from aqgd.lqr import estimate_local_smoothness, make_lqr_oracle
+    from aqgd.lqr import LqrOracle, estimate_local_smoothness
     t0 = time.perf_counter()
     sys = lqr_instance
-    oracle = make_lqr_oracle(sys, mode="exact")
+    oracle = LqrOracle(sys, mode="exact")
     consts = constants_for(sys)
     # the worst-case smoothness constant is astronomically conservative;
     # drive the range recursion with the measured local one, as the

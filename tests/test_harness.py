@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,25 @@ class TestRepeatsAndOutput:
         assert lines[0] == "t,min,q25,median,q75,max"
         assert len(lines) == 62
 
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(problem="quadratic", d=6, kappa=15.0, T=60),
+        # a small fixed step: at ell = 8 the estimates are too noisy for 1/(6L)
+        ExperimentConfig(problem="lqr-modelfree", algorithm="naqgd", n=3, m=2,
+                         ell=8, N=30, T=5, alpha=1e-5, b=8),
+    ], ids=["quadratic", "lqr-modelfree"])
+    def test_run_repeats_independent_of_thread_count(self, tmp_path, monkeypatch,
+                                                     cfg):
+        files = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("AQGD_THREADS", threads)
+            out = tmp_path / threads / "run"
+            out.parent.mkdir()
+            _, _, q = run_repeats(replace(cfg, out=str(out)), repeats=3)
+            write_quantiles(f"{out}.quantiles.csv", q)
+            files.append({p.name: p.read_bytes() for p in out.parent.iterdir()})
+        assert len(files[0]) == 4  # three per-seed traces and the quantiles
+        assert files[0] == files[1]
+
     def test_trace_csv_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(problem="quadratic", d=5, kappa=12.0, T=40,
                                out=str(tmp_path / "tr.csv"))
@@ -225,6 +245,13 @@ class TestCli:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("problem = cubic\n")
         assert main(["run", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("spec", ["foo=1,2", "b=3.5"])
+    def test_sweep_config_error_exit_code(self, tmp_path, capsys, spec):
+        cfg = write_config(tmp_path / "q.cfg", "problem = quadratic\nd = 6\n")
+        assert main(["sweep", cfg, "--set", spec]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "div.cfg"

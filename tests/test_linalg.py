@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import aqgd.linalg
-from aqgd.errors import NotSchurStable
+from aqgd.errors import NoConvergence, NotSchurStable
 from aqgd.linalg import (STABILITY_MARGIN, solve_dare, solve_discrete_lyapunov,
                          spectral_radius)
 
@@ -98,6 +98,21 @@ class TestLyapunov:
         X = solve_discrete_lyapunov(M, W, transpose=transpose).P
         ref = _kron_solution(M, W, transpose)
         assert np.allclose(X, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_residual_check_scales_with_solution(self, transpose, monkeypatch):
+        # X reaches 1e7..1e9, so its round-off residual exceeds an absolute
+        # 1e-9; correct solutions must pass and truncated ones must not
+        W = np.eye(2)
+        for rho in (0.9, 0.999):
+            M = np.array([[rho, 1e3], [0.0, 0.5 * rho]])
+            X = solve_discrete_lyapunov(M, W, transpose=transpose).P
+            ref = _kron_solution(M, W, transpose)
+            assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
+        monkeypatch.setattr(aqgd.linalg, "LYAPUNOV_MAX_DOUBLINGS", 1)
+        with pytest.raises(NoConvergence):
+            solve_discrete_lyapunov(np.array([[0.99, 1e3], [0.0, 0.495]]), W,
+                                    transpose=transpose)
 
     def test_normal_stable_needs_no_eigenvalues(self, monkeypatch):
         calls = []

@@ -5,12 +5,11 @@ import aqgd.linalg
 import aqgd.lqr
 from aqgd.errors import Unstabilizing
 from aqgd.linalg import spectral_radius
-from aqgd.lqr import (EstimatorConfig, LtiSystem, PolicyVecAdapter,
-                      calibrate_noise, constants_for, dare_optimum,
-                      epsilon_schedule, estimate_gradient,
+from aqgd.lqr import (EstimatorConfig, LqrOracle, LtiSystem,
+                      PolicyVecAdapter, calibrate_noise, constants_for,
+                      dare_optimum, epsilon_schedule, estimate_gradient,
                       estimate_local_smoothness, lqr_constants, lqr_cost,
-                      lqr_grad, make_lqr_oracle, random_stable_instance,
-                      rollout)
+                      lqr_grad, random_stable_instance, rollout)
 
 
 def scalar_system():
@@ -334,7 +333,7 @@ class TestRandomInstance:
 class TestOracle:
     def test_exact_mode_matches_analytic_gradient(self):
         sys = random_stable_instance(3, 2, seed=20)
-        orc = make_lqr_oracle(sys, mode="exact")
+        orc = LqrOracle(sys, mode="exact")
         rng = np.random.default_rng(20)
         for scale in (0.0, 0.01, 0.05, 0.1):
             x = orc.x0() + scale * rng.standard_normal(orc.d)
@@ -345,7 +344,7 @@ class TestOracle:
 
     def test_one_closed_loop_solve_per_iterate(self, monkeypatch):
         sys = random_stable_instance(4, 2, seed=23)
-        orc = make_lqr_oracle(sys)
+        orc = LqrOracle(sys)
         calls = {"lyapunov": 0, "eig": 0}
 
         def counted(name, fn):
@@ -370,14 +369,14 @@ class TestOracle:
 
     def test_f_star_from_riccati(self):
         sys = random_stable_instance(3, 2, seed=21)
-        orc = make_lqr_oracle(sys)
+        orc = LqrOracle(sys)
         _, Kstar, Jstar = dare_optimum(sys)
         assert orc.f_star == Jstar
         assert orc.f_gap(orc.adapter.to_vec(Kstar)) == pytest.approx(0.0, abs=1e-8)
 
     def test_unstabilizing_surfaces(self):
         sys = LtiSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        orc = make_lqr_oracle(sys)
+        orc = LqrOracle(sys)
         with pytest.raises(Unstabilizing, match="spectral radius 1.5 >= 1"):
             orc.eval_f(np.array([1.5]))
         with pytest.raises(Unstabilizing, match="spectral radius 1 >= 1"):
@@ -390,7 +389,7 @@ class TestOracle:
     def test_modelfree_noisy_gradient_shape(self):
         sys = random_stable_instance(3, 2, seed=22)
         cfg = EstimatorConfig(ell=8, N=30, r=0.1, seed=1)
-        orc = make_lqr_oracle(sys, mode="modelfree", cfg=cfg)
+        orc = LqrOracle(sys, mode="modelfree", cfg=cfg)
         g = orc.eval_noisy_grad(orc.x0(), t=0)
         assert g.shape == (6,)
 
