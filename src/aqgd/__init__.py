@@ -10,8 +10,7 @@ from .lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
                   dare_optimum, epsilon_schedule, estimate_gradient,
                   estimate_local_smoothness, lqr_constants, lqr_cost, lqr_grad,
                   random_stable_instance, rollout)
-from .optimize import (GradOracle, OptState, RunTrace, aqgd_step,
-                       bar_epsilon_sq, default_alpha, init_state, naqgd_step,
+from .optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
                        potential, rate_threshold_b, run)
 from .problems import (PerturbedOracle, QuadraticProblem, SineBowl,
                        check_gradient_domination, make_quadratic)

@@ -116,7 +116,9 @@ def _cmd_verify(args) -> int:
         extra = check_trace_invariants(trace, kappa=summary.extras.get("kappa")
                                        if cfg.algorithm == "aqgd" else None)
         _print_summary(f"{cfg.problem}/{cfg.algorithm}", summary)
-        bad += summary.violations + extra
+        # this audit checks everything run_experiment's audit did, and
+        # also the contraction at a set alpha, so it alone is the count
+        bad += extra
     print("verify:", "OK" if bad == 0 else f"{bad} violations")
     return EXIT_OK if bad == 0 else EXIT_INVARIANT
 

@@ -14,7 +14,7 @@ from . import lqr as lqr_mod
 from .errors import ConfigError
 from .optimize import RunTrace, default_alpha, rate_threshold_b, run
 from .problems import SineBowl, make_quadratic
-from .quantize import QuantizerSpec, build_net, decode, encode, scalar_spec
+from .quantize import QuantizerSpec, build_net, encode, scalar_spec
 
 PROBLEM_KINDS = ("quadratic", "lqr-exact", "lqr-modelfree", "pl-nonconvex")
 ALGORITHMS = ("aqgd", "naqgd", "gd-unquantized", "gd-static-quantized")
@@ -189,7 +189,7 @@ def _run_gd(oracle, alpha: float, T: int) -> RunTrace:
     return RunTrace(f_gap=f_gap, grad_norm=grad_norm, R=zeros,
                     innov_norm=np.full(n, np.nan), e_norm=np.full(n, np.nan),
                     V=f_gap.copy(), bits=np.zeros(n, dtype=np.int64),
-                    mode="gd-unquantized", alpha=alpha, gamma=0.0)
+                    mode="gd-unquantized")
 
 
 def _run_static_quantized(oracle, quant: QuantizerSpec, alpha: float,
@@ -223,7 +223,7 @@ def _run_static_quantized(oracle, quant: QuantizerSpec, alpha: float,
         x = x - alpha * g_hat
     return RunTrace(f_gap=f_gap, grad_norm=grad_norm, R=np.full(n, R0),
                     innov_norm=innov, e_norm=e_norm, V=f_gap.copy(), bits=bits,
-                    mode="gd-static-quantized", alpha=alpha, gamma=quant.gamma)
+                    mode="gd-static-quantized")
 
 
 @dataclass
@@ -362,15 +362,15 @@ GNUPLOT_TEMPLATE = """set logscale y
 set xlabel "iteration t"
 set ylabel "f(x_t) - f*"
 set grid
-plot "{data}" using 1:2 with lines title "{title}"
+plot "{data}" using 1:2 with lines title "optimality gap"
 """
 
 
-def emit_plot_data(trace: RunTrace, stem: str, title: str = "optimality gap") -> None:
+def emit_plot_data(trace: RunTrace, stem: str) -> None:
     """Two-column gap-vs-iteration data plus a gnuplot script."""
     data = stem + ".dat"
     with open(data, "w") as fh:
         for t in range(len(trace)):
             fh.write(f"{t} {trace.f_gap[t]:.17g}\n")
     with open(stem + ".gnuplot", "w") as fh:
-        fh.write(GNUPLOT_TEMPLATE.format(data=os.path.basename(data), title=title))
+        fh.write(GNUPLOT_TEMPLATE.format(data=os.path.basename(data)))

@@ -2,17 +2,17 @@
 
 The worker (which evaluates gradients and encodes innovations) and the
 server (which decodes, steps the iterate, and updates the quantizer
-range) are simulated in one process as two sub-states that share only
-CodeFrames.  Their copies of the gradient estimate and the range are
-asserted bit-identical at every step, so the "correct decoding"
-assumption is checked rather than assumed.
+range) are simulated in one process: each side's gradient estimate and
+range are local state of ``run``, and the two sides share only
+CodeFrames.  Their copies are asserted bit-identical at every step, so
+the "correct decoding" assumption is checked rather than assumed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,93 +53,8 @@ class GradOracle:
         return self.eval_f(x) - self.f_star
 
 
-@dataclass
-class StepInfo:
-    """Quantities produced while executing one step."""
-
-    innov_norm: float
-    e_norm: float  # ||grad_true(x_t) - g_t||, NaN without true-gradient access
-    frame_bits: int
-    R_used: float  # range active while encoding this step's innovation
-
-
-@dataclass
-class OptState:
-    """Joint worker/server state of the quantized descent loop."""
-
-    t: int
-    x: np.ndarray
-    g: np.ndarray
-    R: float
-    g_worker: np.ndarray
-    R_worker: float
-    bits_sent: int
-    alpha: float
-    gamma: float
-    last: StepInfo | None = field(default=None)
-
-
-def init_state(oracle: GradOracle, quant: QuantizerSpec, alpha: float, R0: float,
-               x0=None) -> OptState:
-    x = np.asarray(x0, dtype=float).copy() if x0 is not None else oracle.x0()
-    z = np.zeros(oracle.d)
-    return OptState(
-        t=0, x=x, g=z.copy(), R=float(R0), g_worker=z.copy(),
-        R_worker=float(R0), bits_sent=0, alpha=float(alpha),
-        gamma=float(quant.gamma),
-    )
-
-
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
-
-
-def _step(state: OptState, grad_worker: np.ndarray, grad_true,
-          quant: QuantizerSpec, L: float, eps_t: float, eps_next: float) -> OptState:
-    # worker side: innovation against its own copy of the estimate
-    innov = grad_worker - state.g_worker
-    frame, ihat_w = encode(quant, innov, state.R_worker)
-    g_w = state.g_worker + ihat_w
-    R_w = state.gamma * state.R_worker + state.alpha * L * _norm(g_w) \
-        + eps_t + eps_next
-    # server side: everything derives from the frame and shared parameters
-    ihat_s = decode(quant, frame, state.R)
-    g_s = state.g + ihat_s
-    x_new = state.x - state.alpha * g_s
-    R_s = state.gamma * state.R + state.alpha * L * _norm(g_s) \
-        + eps_t + eps_next
-    if not (np.array_equal(g_w, g_s) and R_w == R_s):
-        raise AssertionError("worker/server state diverged (decoding symmetry broken)")
-    e_norm = _norm(grad_true - g_s) if grad_true is not None else math.nan
-    info = StepInfo(
-        innov_norm=_norm(innov),
-        e_norm=e_norm,
-        frame_bits=frame.bit_len,
-        R_used=state.R,
-    )
-    return OptState(
-        t=state.t + 1, x=x_new, g=g_s, R=R_s, g_worker=g_w, R_worker=R_w,
-        bits_sent=state.bits_sent + frame.bit_len, alpha=state.alpha,
-        gamma=state.gamma, last=info,
-    )
-
-
-def aqgd_step(state: OptState, oracle: GradOracle, quant: QuantizerSpec) -> OptState:
-    """One exact-gradient step: encode the innovation, decode, descend,
-    contract the range by R <- gamma R + alpha L ||g||."""
-    grad = oracle.eval_grad(state.x)
-    return _step(state, grad, grad, quant, oracle.L, 0.0, 0.0)
-
-
-def naqgd_step(state: OptState, oracle: GradOracle, quant: QuantizerSpec,
-               eps_t: float, eps_next: float) -> OptState:
-    """Noisy-gradient step; the range additionally absorbs eps_t + eps_next."""
-    grad = oracle.eval_noisy_grad(state.x, state.t)
-    try:
-        grad_true = oracle.eval_grad(state.x)
-    except NotImplementedError:
-        grad_true = None
-    return _step(state, grad, grad_true, quant, oracle.L, eps_t, eps_next)
 
 
 @dataclass
@@ -159,8 +74,6 @@ class RunTrace:
     V: np.ndarray
     bits: np.ndarray
     mode: str = "aqgd"
-    alpha: float = 0.0
-    gamma: float = 0.0
 
     def __len__(self) -> int:
         return len(self.f_gap)
@@ -244,14 +157,9 @@ def rate_threshold_b(d: int, kappa: float) -> int:
     return b
 
 
-def default_alpha(oracle: GradOracle, noisy: bool = False) -> float:
-    """Reference step size: 1/(6L); the noisy loop additionally caps it
-    at D/(7G) when the oracle exposes those constants."""
-    base = 1.0 / (6.0 * oracle.L)
-    D = getattr(oracle, "D", None)
-    if noisy and oracle.G and D:
-        return min(D / (7.0 * oracle.G), base)
-    return base
+def default_alpha(oracle: GradOracle) -> float:
+    """Reference step size 1/(6L)."""
+    return 1.0 / (6.0 * oracle.L)
 
 
 def run(
@@ -264,6 +172,10 @@ def run(
     eps_schedule=None,
 ) -> RunTrace:
     """Run T steps of AQGD or NAQGD and return the populated trace.
+
+    Each step encodes the gradient innovation, decodes it, descends by
+    x <- x - alpha g and updates the range by R <- gamma R + alpha L ||g||,
+    plus eps_t + eps_{t+1} under NAQGD.
 
     The trace has T + 1 records.  NAQGD requires ``eps_schedule`` with at
     least T + 1 entries (the range update at step t reads eps_t and
@@ -280,11 +192,17 @@ def run(
                 "noise bound exceeds the gradient bound G; the convergence "
                 "envelope is not guaranteed", stacklevel=2,
             )
-    state = init_state(oracle, quant, alpha, R0)
+    x = oracle.x0()
     if not noisy:
-        g0 = float(np.linalg.norm(oracle.eval_grad(state.x)))
+        g0 = float(np.linalg.norm(oracle.eval_grad(x)))
         if g0 > R0:
             raise ValueError(f"R0 = {R0:.6g} below ||grad(x0)|| = {g0:.6g}")
+    L, alpha, gamma = oracle.L, float(alpha), float(quant.gamma)
+    # the worker's and the server's copies of the gradient estimate and
+    # the range; only the frames pass between them
+    g_w, R_w = np.zeros(oracle.d), float(R0)
+    g_s, R_s = np.zeros(oracle.d), float(R0)
+    sent = 0
 
     n = T + 1
     f_gap = np.empty(n)
@@ -298,17 +216,17 @@ def run(
     prev_gap = 0.0
     prev_R = 0.0
     for t in range(n):
-        gap = oracle.f_gap(state.x)
+        gap = oracle.f_gap(x)
         try:
-            grad_true = oracle.eval_grad(state.x)
+            grad_true = oracle.eval_grad(x)
             gn = _norm(grad_true)
         except NotImplementedError:
             grad_true, gn = None, math.nan
         f_gap[t] = gap
         grad_norm[t] = gn
-        Rs[t] = state.R
-        bits[t] = state.bits_sent
-        V[t] = potential(alpha, gap, state.R, loop_kind, prev_gap, prev_R)
+        Rs[t] = R_s
+        bits[t] = sent
+        V[t] = potential(alpha, gap, R_s, loop_kind, prev_gap, prev_R)
         if t == 0 and gap != 0.0:
             guard = DIVERGENCE_FACTOR * abs(gap)
         elif t == 0:
@@ -321,17 +239,28 @@ def run(
         if t == T:
             break
         prev_gap = gap
-        prev_R = state.R
+        prev_R = R_s
         if noisy:
-            grad = oracle.eval_noisy_grad(state.x, state.t)
-            state = _step(state, grad, grad_true, quant, oracle.L,
-                          eps_schedule[t], eps_schedule[t + 1])
+            grad = oracle.eval_noisy_grad(x, t)
+            eps_t, eps_next = eps_schedule[t], eps_schedule[t + 1]
         else:
-            state = _step(state, grad_true, grad_true, quant, oracle.L, 0.0, 0.0)
-        innov[t] = state.last.innov_norm
-        e_norm[t] = state.last.e_norm
+            grad, eps_t, eps_next = grad_true, 0.0, 0.0
+        # worker side: innovation against its own copy of the estimate
+        innovation = grad - g_w
+        frame, ihat_w = encode(quant, innovation, R_w)
+        g_w = g_w + ihat_w
+        R_w = gamma * R_w + alpha * L * _norm(g_w) + eps_t + eps_next
+        # server side: everything derives from the frame and shared parameters
+        g_s = g_s + decode(quant, frame, R_s)
+        x = x - alpha * g_s
+        R_s = gamma * R_s + alpha * L * _norm(g_s) + eps_t + eps_next
+        if not (np.array_equal(g_w, g_s) and R_w == R_s):
+            raise AssertionError("worker/server state diverged (decoding symmetry broken)")
+        sent += frame.bit_len
+        innov[t] = _norm(innovation)
+        if grad_true is not None:
+            e_norm[t] = _norm(grad_true - g_s)
     return RunTrace(
         f_gap=f_gap, grad_norm=grad_norm, R=Rs, innov_norm=innov,
-        e_norm=e_norm, V=V, bits=bits, mode=loop_kind, alpha=alpha,
-        gamma=quant.gamma,
+        e_norm=e_norm, V=V, bits=bits, mode=loop_kind,
     )

@@ -75,16 +75,15 @@ class SineBowl(GradOracle):
     dominated, with smoothness L = 8 and domination constant mu = 1/8
     certified by a dense grid scan (see the accompanying tests)."""
 
-    def __init__(self, d: int = 2, start: float = 2.0):
+    def __init__(self, d: int = 2):
         self.d = d
         self.L = 8.0
         self.mu = 1.0 / 8.0
         self.f_star = 0.0
         self.G = None
-        self.start = start
 
     def x0(self) -> np.ndarray:
-        return np.full(self.d, self.start)
+        return np.full(self.d, 2.0)
 
     def eval_f(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aqgd import harness
+from aqgd import cli, harness
 from aqgd.cli import main
 from aqgd.errors import ConfigError
 from aqgd.harness import (ExperimentConfig, RateFit, compare_rates,
@@ -104,8 +104,7 @@ class TestFitRate:
         nan = np.full(T + 1, np.nan)
         return RunTrace(f_gap=f, grad_norm=nan, R=nan, innov_norm=nan,
                         e_norm=nan, V=f.copy(),
-                        bits=np.zeros(T + 1, dtype=np.int64), mode="aqgd",
-                        alpha=0.1, gamma=0.5)
+                        bits=np.zeros(T + 1, dtype=np.int64), mode="aqgd")
 
     def test_exact_geometric_sequence(self):
         fit = fit_rate(self.geometric_trace(0.9), (0, 200))
@@ -240,6 +239,14 @@ class TestCli:
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
         assert "verify: OK" in capsys.readouterr().out
+
+    def test_verify_counts_each_violation_once(self, monkeypatch, capsys):
+        # one violation per audit: four configs give 4, not 4 + 4
+        one = lambda trace, kappa=None: 1
+        monkeypatch.setattr(harness, "check_trace_invariants", one)
+        monkeypatch.setattr(cli, "check_trace_invariants", one)
+        assert main(["verify"]) == 2
+        assert "verify: 4 violations" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

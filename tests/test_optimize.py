@@ -3,38 +3,43 @@ import math
 import numpy as np
 import pytest
 
+from aqgd import optimize
 from aqgd.errors import Divergence
-from aqgd.optimize import (OptState, RunTrace, aqgd_step, bar_epsilon_sq,
-                           default_alpha, init_state, naqgd_step, potential,
-                           rate_threshold_b, run)
+from aqgd.optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
+                           potential, rate_threshold_b, run)
 from aqgd.problems import PerturbedOracle, QuadraticProblem, make_quadratic
-from aqgd.quantize import build_net, scalar_decode, scalar_encode, scalar_spec
-
-
-def small_quadratic():
-    # f(x) = 0.5 (x1^2 + 2 x2^2)
-    return QuadraticProblem(np.diag([1.0, 2.0]), np.zeros(2))
+from aqgd.quantize import encode, scalar_spec
 
 
 class TestAqgdStep:
     def test_fixed_point_at_optimum(self):
-        p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))  # argmin at 0
-        quant = scalar_spec(2, 4)
-        state = init_state(p, quant, 1 / (6 * p.L), 0.0)
-        for _ in range(5):
-            state = aqgd_step(state, p, quant)
-            assert np.array_equal(state.x, np.zeros(2))
-            assert state.R == 0.0
-            assert np.array_equal(state.g, np.zeros(2))
+        p = QuadraticProblem(np.diag([1.0, 4.0]), np.zeros(2))  # argmin at x0 = 0
+        trace = run("aqgd", p, scalar_spec(2, 4), 1 / (6 * p.L), 0.0, 5)
+        assert np.all(trace.f_gap == 0.0)
+        assert np.all(trace.R == 0.0)
+        # e_norm = ||grad - g|| with grad = 0, so the estimate stays 0
+        assert np.all(trace.e_norm[:5] == 0.0)
+        assert np.all(trace.innov_norm[:5] == 0.0)
 
     def test_single_step_matches_scripted_oracle(self):
-        p = small_quadratic()
+        class FromOnes(QuadraticProblem):
+            # f(x) = 0.5 (x1^2 + 2 x2^2) from x0 = [1, 1]; records iterates
+            def __init__(self):
+                super().__init__(np.diag([1.0, 2.0]), np.zeros(2))
+                self.seen = []
+
+            def x0(self):
+                return np.array([1.0, 1.0])
+
+            def f_gap(self, x):
+                self.seen.append(x)
+                return super().f_gap(x)
+
+        p = FromOnes()
         alpha, b = 1.0 / 12.0, 8
         x0 = np.array([1.0, 1.0])
         R0 = math.sqrt(5.0)
-        quant = scalar_spec(2, b)
-        state = init_state(p, quant, alpha, R0, x0=x0)
-        state = aqgd_step(state, p, quant)
+        trace = run("aqgd", p, scalar_spec(2, b), alpha, R0, 1)
 
         # scripted reference: innovation = grad - 0, quantize over [-R0, R0]
         grad = np.array([1.0, 2.0])
@@ -44,9 +49,9 @@ class TestAqgdStep:
         g = ihat
         x1 = x0 - alpha * g
         R1 = (math.sqrt(2) / 2**b) * R0 + alpha * p.L * np.linalg.norm(g)
-        assert np.linalg.norm(state.x - x1) < 1e-15
-        assert abs(state.R - R1) < 1e-15
-        assert state.bits_sent == 2 * b
+        assert np.linalg.norm(p.seen[1] - x1) < 1e-15
+        assert abs(trace.R[1] - R1) < 1e-15
+        assert trace.bits[1] == 2 * b
 
     def test_high_rate_limit_matches_unquantized_gd(self):
         p = make_quadratic(3, 8.0, seed=5)
@@ -68,40 +73,35 @@ class TestNaqgdStep:
         quant = scalar_spec(5, 5)
         alpha = 1 / (6 * p.L)
         R0 = np.linalg.norm(p.eval_grad(p.x0())) * 1.1
-        sa = init_state(p, quant, alpha, R0)
-        sn = init_state(zero, quant, alpha, R0)
-        for _ in range(50):
-            sa = aqgd_step(sa, p, quant)
-            sn = naqgd_step(sn, zero, quant, 0.0, 0.0)
-            assert np.array_equal(sa.x, sn.x)
-            assert np.array_equal(sa.g, sn.g)
-            assert sa.R == sn.R
+        ta = run("aqgd", p, quant, alpha, R0, 50)
+        tn = run("naqgd", zero, quant, alpha, R0, 50, eps_schedule=np.zeros(51))
+        for name in ("f_gap", "R", "bits"):
+            assert np.array_equal(getattr(ta, name), getattr(tn, name))
 
     def test_range_update_arithmetic(self):
-        # gamma=0.25, R=1, alpha*L=1/6, ||g||=3, eps 0.1/0.2 -> R' = 1.05
-        class ConstOracle:
-            d, L, mu, G, f_star = 2, 1.0, None, None, 0.0
+        # gamma = 1/4, R0 = 4, alpha*L = 1/6, g_1 = 3 exactly, eps 0.1/0.2
+        # -> R_1 = 1 + 0.5 + 0.3 = 1.8
+        class ConstOracle(GradOracle):
+            d, L, mu, G, f_star = 1, 1.0, None, None, 0.0
+
+            def eval_f(self, x):
+                return 0.0
 
             def eval_noisy_grad(self, x, t):
-                return np.array([3.0, 0.0])
+                return np.array([3.0])
 
             def eval_grad(self, x):
-                return np.array([3.0, 0.0])
+                return np.array([3.0])
 
-        spec = build_net(2, 0.25)
-        oracle = ConstOracle()
-        # seed the shared estimate at exactly the gradient: innovation is 0,
-        # which the net maps to the origin codeword, so g stays exactly [3,0]
-        g = np.array([3.0, 0.0])
-        state = OptState(t=0, x=np.zeros(2), g=g.copy(), R=1.0,
-                         g_worker=g.copy(), R_worker=1.0, bits_sent=0,
-                         alpha=1.0 / 6.0, gamma=0.25)
-        out = naqgd_step(state, oracle, spec, 0.1, 0.2)
-        assert np.array_equal(out.g, g)
-        assert out.R == pytest.approx(1.05, abs=1e-15)
+        quant = scalar_spec(1, 2)  # cells of width 2 on [-4, 4]; 3 is a centre
+        assert quant.gamma == 0.25
+        trace = run("naqgd", ConstOracle(), quant, 1.0 / 6.0, 4.0, 1,
+                    eps_schedule=[0.1, 0.2])
+        assert trace.e_norm[0] == 0.0
+        assert trace.R[1] == pytest.approx(1.8, abs=1e-15)
 
     def test_estimate_error_bound_under_injected_noise(self):
-        # ||grad_true - g_t|| <= gamma R_t + eps_t at every step
+        # ||grad_true(x_t) - g_t|| <= gamma R_t + eps_t at every step
         for seed in range(50):
             p = make_quadratic(4, 15.0, seed=seed)
             eps = np.full(82, 0.02)
@@ -109,14 +109,9 @@ class TestNaqgdStep:
             quant = scalar_spec(4, 4)
             alpha = 1 / (6 * p.L)
             R0 = np.linalg.norm(p.eval_grad(p.x0())) * 1.2 + eps[0]
-            state = init_state(orc, quant, alpha, R0)
-            for t in range(80):
-                R_before = state.R
-                state = naqgd_step(state, orc, quant, eps[t], eps[t + 1])
-                e = np.linalg.norm(p.eval_grad(state.x - 0) - state.g)
-                # e_t measured against the pre-step iterate's gradient
-                e = state.last.e_norm
-                assert e <= quant.gamma * R_before + eps[t] + 1e-12
+            trace = run("naqgd", orc, quant, alpha, R0, 80, eps_schedule=eps)
+            bound = quant.gamma * trace.R[:80] + eps[:80] + 1e-12
+            assert np.all(trace.e_norm[:80] <= bound)
 
 
 class TestRun:
@@ -167,14 +162,31 @@ class TestRun:
         alpha = 1 / (6 * p.L)
         R0 = np.linalg.norm(p.eval_grad(p.x0()))
         trace = run("aqgd", p, quant, alpha, R0, 30)
-        state = init_state(p, quant, alpha, R0)
+        # reference loop: one side, no symmetry check
+        x, g, R, sent = p.x0(), np.zeros(6), R0, 0
         for t in range(30):
-            assert state.g_worker is not state.g
-            state = aqgd_step(state, p, quant)
-            assert np.array_equal(state.g, state.g_worker)
-            assert state.R == state.R_worker
-        assert p.f_gap(state.x) == trace.f_gap[-1]
-        assert state.bits_sent == trace.bits[-1]
+            frame, ihat = encode(quant, p.eval_grad(x) - g, R)
+            g = g + ihat
+            x = x - alpha * g
+            R = quant.gamma * R + alpha * p.L * math.sqrt(float(g @ g))
+            sent += frame.bit_len
+            assert trace.R[t + 1] == R
+            assert trace.bits[t + 1] == sent
+        assert p.f_gap(x) == trace.f_gap[-1]
+
+    def test_worker_server_divergence_detected(self, monkeypatch):
+        real = optimize.decode
+
+        def skewed(spec, frame, R):
+            out = real(spec, frame, R).copy()
+            out[0] += 1.0
+            return out
+
+        monkeypatch.setattr(optimize, "decode", skewed)
+        p = make_quadratic(3, 5.0, seed=1)
+        R0 = np.linalg.norm(p.eval_grad(p.x0()))
+        with pytest.raises(AssertionError, match="worker/server state diverged"):
+            run("aqgd", p, scalar_spec(3, 6), 1 / (6 * p.L), R0, 3)
 
     def test_per_step_invariants_on_trace(self):
         p = make_quadratic(8, 60.0, seed=6)
@@ -272,10 +284,3 @@ class TestDefaultAlpha:
     def test_exact_mode(self):
         p = make_quadratic(3, 5.0, seed=0)
         assert default_alpha(p) == pytest.approx(1 / (6 * p.L), rel=1e-15)
-
-    def test_noisy_mode_caps_with_constants(self):
-        p = make_quadratic(3, 5.0, seed=0)
-        p.G = 100.0
-        p.D = 1.0
-        assert default_alpha(p, noisy=True) \
-            == pytest.approx(min(1 / 700, 1 / (6 * p.L)), rel=1e-15)
