@@ -15,7 +15,6 @@ from .optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
 from .problems import (PerturbedOracle, QuadraticProblem, SineBowl,
                        check_gradient_domination, make_quadratic)
 from .quantize import (CodeFrame, QuantizerSpec, build_net, decode, encode,
-                       net_quantize, pack_bits, scalar_decode, scalar_encode,
-                       scalar_spec, unpack_bits)
+                       pack_bits, scalar_spec, unpack_bits)
 
 __version__ = "0.1.0"

@@ -134,7 +134,6 @@ def _build_problem(cfg: ExperimentConfig):
         radius = 0.5 * min(oracle.D, 1.0)
         oracle.L = lqr_mod.estimate_local_smoothness(sys, K0, radius, seed=seed)
         extras["kappa"] = oracle.L / oracle.mu
-        extras["system"] = sys
         if mode == "modelfree":
             if cfg.noise_mode == "theory":
                 eps = lqr_mod.epsilon_schedule(
@@ -284,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig):
         slope, r2 = float("nan"), float("nan")
     summary = Summary(final_gap=float(trace.f_gap[-1]), slope=slope, r2=r2,
                       bits=int(trace.bits[-1]), violations=violations,
-                      extras={k: v for k, v in extras.items() if k != "system"})
+                      extras=extras)
     if cfg.out:
         trace.to_csv(cfg.out)
     return trace, summary
@@ -345,17 +344,6 @@ def fit_rate(trace: RunTrace, window) -> RateFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return RateFit(slope=float(slope), r2=r2, window=(int(x[0]), int(x[-1])))
-
-
-def compare_rates(cfgA: ExperimentConfig, cfgB: ExperimentConfig, window=None):
-    """Paired runs; returns (ratio of fitted slopes A/B, summaryA, summaryB)."""
-    trA, sA = run_experiment(cfgA)
-    trB, sB = run_experiment(cfgB)
-    if window is not None:
-        sA = replace(sA, slope=fit_rate(trA, window).slope)
-        sB = replace(sB, slope=fit_rate(trB, window).slope)
-    ratio = sA.slope / sB.slope if sB.slope else float("inf")
-    return ratio, sA, sB
 
 
 GNUPLOT_TEMPLATE = """set logscale y

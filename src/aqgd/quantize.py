@@ -1,16 +1,16 @@
 """Range-parameterized quantizers and bit-exact frame packing.
 
-Two quantizer families are provided: a per-component uniform scalar
-quantizer over [-R, R] and a codebook quantizer built from a covering of
-the unit ball.  Both are deterministic: identical inputs produce
-bit-identical frames, and the decoder reconstructs the encoder's output
-exactly from the frame plus the shared (R, spec) parameters.
+The worker and the server share only the frame and the range R.
+:func:`encode` turns a vector with ||x|| <= R into a frame plus its
+reconstruction, and :func:`decode` rebuilds that reconstruction
+bit-identically from the frame and the shared (spec, R).  Two quantizer
+families are provided: a per-component uniform scalar quantizer over
+[-R, R] and a codebook quantizer built from a covering of the unit ball.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,20 +28,6 @@ class CodeFrame:
     payload: bytes
     bit_len: int
 
-    def to_bytes(self) -> bytes:
-        """Length-prefixed wire form: 4-byte LE bit count, then payload."""
-        return struct.pack("<I", self.bit_len) + self.payload
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CodeFrame":
-        if len(raw) < 4:
-            raise ValueError("truncated frame header")
-        (bit_len,) = struct.unpack("<I", raw[:4])
-        payload = raw[4:]
-        if len(payload) != (bit_len + 7) // 8:
-            raise ValueError("payload length does not match bit count")
-        return cls(payload=payload, bit_len=bit_len)
-
 
 def pack_bits(indices, b: int) -> CodeFrame:
     """Pack integers into ``b`` bits each, big-endian within each component."""
@@ -58,9 +44,16 @@ def pack_bits(indices, b: int) -> CodeFrame:
     return CodeFrame(payload=payload, bit_len=b * idx.size)
 
 
-def unpack_bits(frame: CodeFrame, b: int, count: int) -> list[int]:
+def unpack_bits(frame: CodeFrame, b: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_bits`; requires the exact bit length."""
-    return _unpack_array(frame, b, count).tolist()
+    if frame.bit_len != b * count:
+        raise ValueError(
+            f"frame holds {frame.bit_len} bits, expected {b * count}"
+        )
+    bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8),
+                         count=b * count).astype(np.int64)
+    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
+    return bits.reshape(count, b) @ weights
 
 
 @dataclass(frozen=True)
@@ -90,52 +83,6 @@ def scalar_spec(d: int, b: int) -> QuantizerSpec:
     if d < 1 or b < 1:
         raise ValueError("d and b must be >= 1")
     return QuantizerSpec(family="scalar", d=d, b=b, gamma=math.sqrt(d) / 2.0**b)
-
-
-def scalar_encode(x, R: float, b: int) -> tuple[CodeFrame, np.ndarray]:
-    """Quantize each component of x to the center of its bin in [-R, R].
-
-    [-R, R] is split into 2**b equal bins, half-open [lo, hi) with the
-    final bin closed; boundary values map to the upper bin.  Requires
-    ||x|| <= R.  R = 0 yields the zero vector and an all-zero frame of
-    nominal length.
-    """
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    if R < 0 or not math.isfinite(R):
-        raise ValueError("R must be finite and nonnegative")
-    if math.sqrt(float(x @ x)) > R:
-        raise Overflow(f"||x|| = {np.linalg.norm(x):.6g} exceeds range R = {R:.6g}")
-    if R == 0.0:
-        frame = pack_bits(np.zeros(d, dtype=np.int64), b)
-        return frame, np.zeros(d)
-    nbins = 1 << b
-    width = 2.0 * R / nbins
-    idx = np.floor((x + R) / width).astype(np.int64)
-    np.minimum(idx, nbins - 1, out=idx)  # x_i == R lands in the closed final bin
-    xhat = -R + (idx + 0.5) * width
-    return pack_bits(idx, b), xhat
-
-
-def _unpack_array(frame: CodeFrame, b: int, count: int) -> np.ndarray:
-    if frame.bit_len != b * count:
-        raise ValueError(
-            f"frame holds {frame.bit_len} bits, expected {b * count}"
-        )
-    bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8),
-                         count=b * count).astype(np.int64)
-    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(count, b) @ weights
-
-
-def scalar_decode(frame: CodeFrame, R: float, b: int, d: int) -> np.ndarray:
-    """Reconstruct the encoder's output bit-identically from the frame."""
-    idx = _unpack_array(frame, b, d)
-    if R == 0.0:
-        return np.zeros(d)
-    nbins = 1 << b
-    width = 2.0 * R / nbins
-    return -R + (idx + 0.5) * width
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -208,41 +155,44 @@ def build_net(d: int, gamma: float) -> QuantizerSpec:
     )
 
 
-def net_quantize(x, R: float, spec: QuantizerSpec) -> tuple[CodeFrame, np.ndarray]:
-    """Snap x to R times its nearest codebook point; transmit the index."""
-    if spec.family != "net":
-        raise ValueError("spec is not a net quantizer")
+def encode(spec: QuantizerSpec, x, R: float) -> tuple[CodeFrame, np.ndarray]:
+    """Quantize x against the range R; returns (frame, reconstruction).
+
+    The scalar family maps each component to the center of its bin among
+    2**b equal bins of [-R, R], half-open [lo, hi) with the final bin
+    closed, so boundary values go to the upper bin.  The net family snaps
+    x to R times its nearest codebook point and sends that index.
+    Requires ||x|| <= R.  R = 0 yields the zero vector and an all-zero
+    frame of nominal length.
+    """
     x = np.asarray(x, dtype=float)
-    nbits = spec.frame_bits
-    if R < 0 or not np.isfinite(R):
+    if R < 0 or not math.isfinite(R):
         raise ValueError("R must be finite and nonnegative")
-    if float(np.linalg.norm(x)) > R:
+    if math.sqrt(float(x @ x)) > R:
         raise Overflow(f"||x|| = {np.linalg.norm(x):.6g} exceeds range R = {R:.6g}")
     if R == 0.0:
-        return pack_bits([0], nbits), np.zeros(spec.d)
-    y = x / R
-    dist = np.linalg.norm(spec.codebook - y, axis=1)
-    idx = int(np.argmin(dist))  # ties resolve to the lowest index
-    xhat = R * spec.codebook[idx]
-    return pack_bits([idx], nbits), xhat
-
-
-def net_decode(frame: CodeFrame, R: float, spec: QuantizerSpec) -> np.ndarray:
-    """Reconstruct a net-quantized vector from its codebook index."""
-    (idx,) = unpack_bits(frame, spec.frame_bits, 1)
-    if R == 0.0:
-        return np.zeros(spec.d)
-    return R * spec.codebook[idx]
-
-
-def encode(spec: QuantizerSpec, x, R: float) -> tuple[CodeFrame, np.ndarray]:
-    """Family dispatch used by the optimizer loop."""
+        nbits = spec.frame_bits
+        return CodeFrame(bytes((nbits + 7) // 8), nbits), np.zeros(spec.d)
     if spec.family == "scalar":
-        return scalar_encode(x, R, spec.b)
-    return net_quantize(x, R, spec)
+        nbins = 1 << spec.b
+        width = 2.0 * R / nbins
+        idx = np.floor((x + R) / width).astype(np.int64)
+        np.minimum(idx, nbins - 1, out=idx)  # x_i == R lands in the closed final bin
+        return pack_bits(idx, spec.b), -R + (idx + 0.5) * width
+    dist = np.linalg.norm(spec.codebook - x / R, axis=1)
+    idx = int(np.argmin(dist))  # ties resolve to the lowest index
+    return pack_bits([idx], spec.frame_bits), R * spec.codebook[idx]
 
 
 def decode(spec: QuantizerSpec, frame: CodeFrame, R: float) -> np.ndarray:
-    if spec.family == "scalar":
-        return scalar_decode(frame, R, spec.b, spec.d)
-    return net_decode(frame, R, spec)
+    """Rebuild the reconstruction :func:`encode` returned, bit-identically."""
+    scalar = spec.family == "scalar"
+    idx = (unpack_bits(frame, spec.b, spec.d) if scalar
+           else unpack_bits(frame, spec.frame_bits, 1))
+    if R == 0.0:
+        return np.zeros(spec.d)
+    if scalar:
+        nbins = 1 << spec.b
+        width = 2.0 * R / nbins
+        return -R + (idx + 0.5) * width
+    return R * spec.codebook[idx[0]]

@@ -8,11 +8,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# one traced quadratic run per quantizer family; prints the span counts
+# the benchmark's per-layer quantize and optimize metrics are built from
+TRACED_RUNS = """
+import collections
+import tracing
+from aqgd import harness
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for quantizer in ("scalar", "net"):
+    first = len(tracer.spans)
+    harness.run_experiment(harness.ExperimentConfig(
+        problem="quadratic", d=3, kappa=10.0, T=20, quantizer=quantizer))
+    n = collections.Counter(s[0] for s in tracer.spans[first:])
+    print(quantizer, n["quantize.encode"], n["quantize.decode"], n["optimize.run"])
+"""
 
-def test_tracer_installs_on_the_package():
+
+def run_in_bench(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=ROOT / "bench", env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_tracer_installs_on_the_package():
+    proc = run_in_bench("import tracing; tracing.install(tracing.Tracer())")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_run_records_every_encode_and_decode():
+    proc = run_in_bench(TRACED_RUNS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["scalar 20 20 1", "net 20 20 1"]

@@ -7,9 +7,9 @@ import pytest
 from aqgd import cli, harness
 from aqgd.cli import main
 from aqgd.errors import ConfigError
-from aqgd.harness import (ExperimentConfig, RateFit, compare_rates,
-                          emit_plot_data, fit_rate, parse_config,
-                          run_experiment, run_repeats, write_quantiles)
+from aqgd.harness import (ExperimentConfig, RateFit, emit_plot_data,
+                          fit_rate, parse_config, run_experiment, run_repeats,
+                          write_quantiles)
 from aqgd.optimize import RunTrace
 
 
@@ -126,13 +126,6 @@ class TestFitRate:
         trace, _ = run_experiment(cfg)
         fit = fit_rate(trace, (300, 600))
         assert fit.slope <= 2 * math.log(1 - 1 / 120.0) + 1e-6
-
-    def test_compare_rates_self_ratio(self):
-        cfg = ExperimentConfig(problem="quadratic", d=10, kappa=40.0, T=500,
-                               seed=4)
-        ratio, sA, sB = compare_rates(cfg, cfg, window=(100, 500))
-        assert ratio == pytest.approx(1.0, abs=1e-12)
-        assert sA.slope == sB.slope
 
 
 class TestRepeatsAndOutput:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqgd.errors import Overflow
-from aqgd.quantize import (CodeFrame, build_net, decode, encode, net_decode,
-                           net_quantize, pack_bits, scalar_decode,
-                           scalar_encode, scalar_spec, unpack_bits)
+from aqgd.quantize import (CodeFrame, build_net, decode, encode, pack_bits,
+                           scalar_spec, unpack_bits)
 
 
 class TestPackBits:
@@ -22,7 +21,7 @@ class TestPackBits:
         f = pack_bits([5, 1], 3)
         assert f.bit_len == 6
         assert f.payload == bytes([0b10100100])
-        assert unpack_bits(f, 3, 2) == [5, 1]
+        assert unpack_bits(f, 3, 2).tolist() == [5, 1]
 
     def test_overflowing_index_rejected(self):
         with pytest.raises(ValueError):
@@ -40,44 +39,32 @@ class TestPackBits:
         vals = [v % (1 << b) for v in vals]
         f = pack_bits(vals, b)
         assert f.bit_len == b * len(vals)
-        assert unpack_bits(f, b, len(vals)) == vals
-
-    def test_wire_roundtrip(self):
-        f = pack_bits([5, 1], 3)
-        raw = f.to_bytes()
-        assert raw[:4] == (6).to_bytes(4, "little")
-        assert CodeFrame.from_bytes(raw) == f
-
-    def test_truncated_wire_rejected(self):
-        with pytest.raises(ValueError):
-            CodeFrame.from_bytes(b"\x01")
-        with pytest.raises(ValueError):
-            CodeFrame.from_bytes((16).to_bytes(4, "little") + b"\x00")
+        assert unpack_bits(f, b, len(vals)).tolist() == vals
 
 
 class TestScalarQuantizer:
     def test_origin_maps_to_bin_center(self):
         # 8 bins of width 0.25 over [-1, 1]; 0 falls in [0, 0.25)
-        _, xhat = scalar_encode(np.array([0.0]), 1.0, 3)
+        _, xhat = encode(scalar_spec(1, 3), np.array([0.0]), 1.0)
         assert xhat[0] == pytest.approx(0.125, abs=0)
 
     def test_boundary_goes_to_upper_bin(self):
-        _, xhat = scalar_encode(np.array([0.25]), 1.0, 3)
+        _, xhat = encode(scalar_spec(1, 3), np.array([0.25]), 1.0)
         assert xhat[0] == pytest.approx(0.375, abs=0)
 
     def test_range_endpoint_in_final_bin(self):
-        _, xhat = scalar_encode(np.array([1.0]), 1.0, 3)
+        _, xhat = encode(scalar_spec(1, 3), np.array([1.0]), 1.0)
         assert xhat[0] == pytest.approx(0.875, abs=0)
 
     def test_zero_range_degenerate(self):
-        frame, xhat = scalar_encode(np.zeros(4), 0.0, 3)
+        frame, xhat = encode(scalar_spec(4, 3), np.zeros(4), 0.0)
         assert np.array_equal(xhat, np.zeros(4))
         assert frame.bit_len == 12
         assert set(frame.payload) <= {0}
 
     def test_overflow_raises(self):
         with pytest.raises(Overflow):
-            scalar_encode(np.array([1.5, 0.0]), 1.0, 4)
+            encode(scalar_spec(2, 4), np.array([1.5, 0.0]), 1.0)
 
     def test_decode_bit_identity(self):
         rng = np.random.default_rng(7)
@@ -87,8 +74,9 @@ class TestScalarQuantizer:
             R = float(rng.uniform(0.1, 10))
             x = rng.standard_normal(d)
             x *= rng.random() * R / max(np.linalg.norm(x), 1e-12)
-            frame, xhat = scalar_encode(x, R, b)
-            assert np.array_equal(scalar_decode(frame, R, b, d), xhat)
+            spec = scalar_spec(d, b)
+            frame, xhat = encode(spec, x, R)
+            assert np.array_equal(decode(spec, frame, R), xhat)
 
     @given(st.integers(1, 10), st.integers(1, 12), st.floats(0.01, 100.0),
            st.integers(0, 2**32 - 1))
@@ -97,7 +85,7 @@ class TestScalarQuantizer:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(d)
         x *= rng.random() * R / max(np.linalg.norm(x), 1e-12)
-        _, xhat = scalar_encode(x, R, b)
+        _, xhat = encode(scalar_spec(d, b), x, R)
         assert np.linalg.norm(xhat - x) <= (math.sqrt(d) / 2**b) * R
 
     def test_frame_bits(self):
@@ -139,12 +127,12 @@ class TestNetQuantizer:
         spec = build_net(2, 0.4)
         R = 2.5
         x = R * spec.codebook[3]
-        _, xhat = net_quantize(x, R, spec)
+        _, xhat = encode(spec, x, R)
         assert np.array_equal(xhat, x)
 
     def test_origin_error_bounded(self):
         spec = build_net(3, 0.5)
-        frame, xhat = net_quantize(np.zeros(3), 4.0, spec)
+        frame, xhat = encode(spec, np.zeros(3), 4.0)
         assert np.linalg.norm(xhat) <= 0.5 * 4.0
         assert frame.bit_len == spec.frame_bits
 
@@ -155,14 +143,14 @@ class TestNetQuantizer:
         for _ in range(2000):
             x = rng.standard_normal(2)
             x *= rng.random() * R / np.linalg.norm(x)
-            frame, xhat = net_quantize(x, R, spec)
+            frame, xhat = encode(spec, x, R)
             assert np.linalg.norm(xhat - x) <= 0.35 * R + 1e-12
-            assert np.array_equal(net_decode(frame, R, spec), xhat)
+            assert np.array_equal(decode(spec, frame, R), xhat)
 
     def test_overflow_raises(self):
         spec = build_net(2, 0.4)
         with pytest.raises(Overflow):
-            net_quantize(np.array([2.0, 0.0]), 1.0, spec)
+            encode(spec, np.array([2.0, 0.0]), 1.0)
 
     def test_deterministic_build(self):
         a = build_net(2, 0.45)
@@ -182,3 +170,23 @@ class TestDispatch:
         x = np.array([0.3, -0.1])
         frame, xhat = encode(spec, x, 1.0)
         assert np.array_equal(decode(spec, frame, 1.0), xhat)
+
+
+@pytest.mark.parametrize("spec", [scalar_spec(3, 4), build_net(3, 0.5)],
+                         ids=["scalar", "net"])
+def test_shared_range_contract(spec):
+    x = np.array([0.3, -0.4, 0.0])
+    for R in (-1.0, math.inf):
+        with pytest.raises(ValueError):
+            encode(spec, x, R)
+    with pytest.raises(Overflow):
+        encode(spec, x, 0.49)
+    frame, xhat = encode(spec, np.zeros(3), 0.0)
+    assert np.array_equal(xhat, np.zeros(3))
+    assert frame.bit_len == spec.frame_bits
+    assert set(frame.payload) <= {0}
+    assert np.array_equal(decode(spec, frame, 0.0), np.zeros(3))
+    short = CodeFrame(payload=frame.payload, bit_len=frame.bit_len - 1)
+    for R in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            decode(spec, short, R)
