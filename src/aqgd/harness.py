@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lqr as lqr_mod
-from .errors import ConfigError
+from .errors import AqgdError, ConfigError
 from .optimize import RunTrace, default_alpha, rate_threshold_b, run
 from .problems import SineBowl, make_quadratic
 from .quantize import QuantizerSpec, build_net, encode, scalar_spec
@@ -300,14 +300,24 @@ def _max_workers() -> int:
     return min(8, cpus)
 
 
+def _run_seed(cfg: ExperimentConfig):
+    """run_experiment, with the seed named in any package error."""
+    try:
+        return run_experiment(cfg)
+    except AqgdError as exc:
+        raise type(exc)(f"seed {cfg.seed}: {exc}") from exc
+
+
 def run_repeats(cfg: ExperimentConfig, repeats: int):
     """Run the config under seeds seed..seed+repeats-1 concurrently;
-    returns (traces, summaries, quantile table over f_gap)."""
+    returns (traces, summaries, quantile table over f_gap).  A package
+    error of one seed is raised again with "seed <s>: " before its
+    message (the first failing seed in seed order)."""
     cfgs = [replace(cfg, seed=cfg.seed + i,
                     out=f"{cfg.out}.seed{cfg.seed + i}.csv" if cfg.out else "")
             for i in range(repeats)]
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(run_experiment, cfgs))
+        results = list(pool.map(_run_seed, cfgs))
     traces = [tr for tr, _ in results]
     gaps = np.stack([tr.f_gap for tr in traces])
     q = np.quantile(gaps, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)

@@ -299,43 +299,65 @@ def rollout(sys: LtiSystem, K_play, N: int, rng: np.random.Generator):
     return states, inputs, cost
 
 
+def _perturbations(sys: LtiSystem, cfg: EstimatorConfig, t: int):
+    """The estimator's random draws: unit-Frobenius-norm perturbations U
+    (ell, m, n) and process noise W (N, ell, n), W[k, i] = w_k of
+    trajectory i (None when Sigma_w = 0).  Trajectory i draws U_i, then
+    its N noise vectors, from its own stream keyed by (cfg.seed, t, i)."""
+    n, m = sys.n, sys.m
+    ell, N = cfg.ell, cfg.N
+    C = _noise_chol(sys)
+    U = np.empty((ell, m, n))
+    W = np.empty((N, ell, n)) if C is not None else None
+    z = np.empty((N, n))
+    for i in range(ell):
+        g = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
+        g.standard_normal(out=U[i])
+        if C is not None:
+            g.standard_normal(out=z)
+            np.matmul(z, C.T, out=W[:, i])
+    # ||U_i||^2 by the same dot product np.linalg.norm takes
+    u = U.reshape(ell, 1, m * n)
+    U /= np.sqrt(u @ u.transpose(0, 2, 1))
+    return U, W
+
+
 def estimate_gradient(sys: LtiSystem, K, cfg: EstimatorConfig, t: int = 0) -> np.ndarray:
     """Single-trajectory perturbed gradient estimate.
 
     Each of the ell trajectories draws its own RNG stream keyed by
     (cfg.seed, t, i), samples a unit-Frobenius-norm perturbation U_i,
-    plays u = (K + r U_i) x for N steps, and contributes
+    plays u = (K + r U_i) x for N steps from x_0 = 0, and contributes
     (mn / (r N)) * cost_sum_i * U_i; the output is the mean.
+
+    The ell trajectories advance together, one batched product per step,
+    and the states are written over the noise: W[k] holds w_k until step
+    k, then x_{k+1} = M_i x_k + w_k.  After the loop the costs
+    sum_{k<N} x_k' Q_eff x_k come from the Gram matrices of x_1..x_{N-1},
+    and one check over x_1..x_N raises Unstabilizing when any squared
+    state norm is not <= STATE_BLOWUP**2 (NaN included).  An unstable
+    gain may overflow inside the loop; that raises no warning.
     """
     K = np.atleast_2d(np.asarray(K, dtype=float))
     n, m = sys.n, sys.m
     ell, N, r = cfg.ell, cfg.N, cfg.r
-    C = _noise_chol(sys)
+    U, W = _perturbations(sys, cfg, t)
 
-    U = np.empty((ell, m, n))
-    W = np.zeros((ell, N, n)) if C is not None else None
-    for i in range(ell):
-        g = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
-        Ui = g.standard_normal((m, n))
-        U[i] = Ui / np.linalg.norm(Ui)
-        if C is not None:
-            W[i] = g.standard_normal((N, n)) @ C.T
-
-    Kp = K[None, :, :] + r * U                      # (ell, m, n)
-    M = sys.A[None, :, :] + np.einsum("ij,tjk->tik", sys.B, Kp)
-    Qeff = sys.Q[None, :, :] + np.einsum("tji,jk,tkl->til", Kp, sys.R, Kp)
-
-    x = np.zeros((ell, n))
-    costs = np.zeros(ell)
-    for k in range(N):
-        costs += np.einsum("ti,tij,tj->t", x, Qeff, x)
-        x = np.einsum("tij,tj->ti", M, x)
-        if W is not None:
-            x = x + W[:, k, :]
-        if np.max(np.einsum("ti,ti->t", x, x)) > STATE_BLOWUP**2:
-            raise Unstabilizing(
-                f"state norm exceeded {STATE_BLOWUP:.0e} during estimation"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        Kp = K[None, :, :] + r * U                      # (ell, m, n)
+        M = sys.A[None, :, :] + np.einsum("ij,tjk->tik", sys.B, Kp)
+        Qeff = sys.Q[None, :, :] + np.einsum("tji,jk,tkl->til", Kp, sys.R, Kp)
+        if W is None:  # no noise from x_0 = 0: every state and cost is zero
+            return np.zeros((m, n))
+        for k in range(1, N):  # W[0] = x_1 = w_0 already
+            W[k] += np.einsum("tij,tj->ti", M, W[k - 1])
+        X = W[:N - 1].transpose(1, 0, 2)                # (ell, N-1, n)
+        costs = np.einsum("tij,tij->t", Qeff, X.transpose(0, 2, 1) @ X)
+        sq = np.einsum("kti,kti->kt", W, W)
+    if not np.all(sq <= STATE_BLOWUP**2):
+        raise Unstabilizing(
+            f"state norm exceeded {STATE_BLOWUP:.0e} during estimation"
+        )
     scale = m * n / (r * N * ell)
     return scale * np.einsum("t,tij->ij", costs, U)
 

@@ -24,6 +24,19 @@ for quantizer in ("scalar", "net"):
     print(quantizer, n["quantize.encode"], n["quantize.decode"], n["optimize.run"])
 """
 
+# one traced small model-free run: the benchmark's rollout-rate metric
+# counts ell * N steps per lqr.estimate_gradient span
+TRACED_MODELFREE_RUN = """
+import tracing
+from aqgd import harness
+tracer = tracing.Tracer()
+tracing.install(tracer)
+harness.run_experiment(harness.ExperimentConfig(
+    problem="lqr-modelfree", algorithm="naqgd", n=3, m=2, ell=8, N=30, T=5,
+    alpha=1e-5, b=8))
+print(sorted(s[5] for s in tracer.spans if s[0] == "lqr.estimate_gradient"))
+"""
+
 
 def run_in_bench(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -42,3 +55,10 @@ def test_traced_run_records_every_encode_and_decode():
     proc = run_in_bench(TRACED_RUNS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["scalar 20 20 1", "net 20 20 1"]
+
+
+def test_traced_modelfree_run_records_every_estimate():
+    proc = run_in_bench(TRACED_MODELFREE_RUN)
+    assert proc.returncode == 0, proc.stderr
+    # 5 calibration calls and one per step of T = 5, each of 8 x 30 steps
+    assert proc.stdout.strip() == str([8 * 30] * 10)

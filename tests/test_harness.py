@@ -269,3 +269,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: Overflow:")
         assert err.count("\n") == 1
+
+    def test_numerical_failure_names_the_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "pl.cfg",
+                           "problem = pl-nonconvex\nalgorithm = aqgd\n"
+                           "d = 4\nT = 3000\n")
+        assert main(["run", cfg, "--repeats", "2"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Overflow: seed 0: ||x|| = ")
+        assert err.count("\n") == 1

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -262,6 +265,111 @@ class TestEstimator:
         ])
         se = ests.std(ddof=1) / np.sqrt(len(ests))
         assert abs(ests.mean() - smoothed) <= 3 * se
+
+
+def reference_estimate(sys, K, cfg, t=0):
+    """The estimator as a per-step loop over the ell trajectories, checking
+    the state norm after every step; returns (estimate, U, W) with W[i]
+    the noise of trajectory i."""
+    K = np.atleast_2d(np.asarray(K, dtype=float))
+    n, m = sys.n, sys.m
+    ell, N, r = cfg.ell, cfg.N, cfg.r
+    C = aqgd.lqr._noise_chol(sys)
+    U = np.empty((ell, m, n))
+    W = np.zeros((ell, N, n)) if C is not None else None
+    for i in range(ell):
+        g = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
+        Ui = g.standard_normal((m, n))
+        U[i] = Ui / np.linalg.norm(Ui)
+        if C is not None:
+            W[i] = g.standard_normal((N, n)) @ C.T
+    Kp = K[None, :, :] + r * U
+    M = sys.A[None, :, :] + np.einsum("ij,tjk->tik", sys.B, Kp)
+    Qeff = sys.Q[None, :, :] + np.einsum("tji,jk,tkl->til", Kp, sys.R, Kp)
+    x = np.zeros((ell, n))
+    costs = np.zeros(ell)
+    for k in range(N):
+        costs += np.einsum("ti,tij,tj->t", x, Qeff, x)
+        x = np.einsum("tij,tj->ti", M, x)
+        if W is not None:
+            x = x + W[:, k, :]
+        if np.max(np.einsum("ti,ti->t", x, x)) > 1e24:
+            raise Unstabilizing("state norm exceeded 1e+12 during estimation")
+    scale = m * n / (r * N * ell)
+    return scale * np.einsum("t,tij->ij", costs, U), U, W
+
+
+def correlated_noise_instance():
+    # the seed-3 instance with a Sigma_w that is not diagonal
+    base = random_stable_instance(5, 3, seed=3)
+    L = np.random.default_rng(4).standard_normal((5, 5))
+    return LtiSystem(base.A, base.B, base.Q, base.R, L @ L.T + 0.1 * np.eye(5))
+
+
+BLOWUP_MESSAGE = re.escape("state norm exceeded 1e+12 during estimation")
+
+
+class TestEstimatorKernel:
+    @pytest.mark.parametrize("gain", ["zero", "half-optimal"])
+    @pytest.mark.parametrize("system", ["seed-3", "correlated-noise"])
+    def test_matches_reference_loop(self, system, gain):
+        sys = (random_stable_instance(5, 3, seed=3) if system == "seed-3"
+               else correlated_noise_instance())
+        K = np.zeros((3, 5)) if gain == "zero" else 0.5 * dare_optimum(sys)[1]
+        cfg = EstimatorConfig(ell=12, N=40, r=0.1, seed=2)
+        want, U_ref, W_ref = reference_estimate(sys, K, cfg, t=7)
+        assert np.any(want != 0)
+        got = estimate_gradient(sys, K, cfg, t=7)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        U, W = aqgd.lqr._perturbations(sys, cfg, 7)
+        np.testing.assert_allclose(U, U_ref, rtol=1e-15, atol=0)
+        assert np.array_equal(W.transpose(1, 0, 2), W_ref)
+
+    def test_noise_free_gain_shape_still_checked(self):
+        sys = LtiSystem(0.5 * np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(1),
+                        np.zeros((2, 2)))
+        cfg = EstimatorConfig(ell=4, N=10, r=0.1)
+        with pytest.raises(ValueError):
+            estimate_gradient(sys, np.zeros((1, 3)), cfg)
+
+    def test_unstable_gain_raises_without_warning(self):
+        cfg = EstimatorConfig(ell=4, N=200, r=0.05, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Unstabilizing, match=BLOWUP_MESSAGE):
+                estimate_gradient(scalar_system(), [[1.0]], cfg)
+
+    def test_overflowing_states_raise(self):
+        # x_2 ~ 1e200, x_3 overflows to inf and later states are NaN
+        sys = random_stable_instance(5, 3, seed=3)
+        cfg = EstimatorConfig(ell=4, N=20, r=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Unstabilizing, match=BLOWUP_MESSAGE):
+                estimate_gradient(sys, np.full((3, 5), 1e200), cfg)
+            with pytest.raises(Unstabilizing, match=BLOWUP_MESSAGE):
+                reference_estimate(sys, np.full((3, 5), 1e200), cfg)
+
+    def test_last_state_is_checked(self):
+        # the shortest horizon on which the reference loop raises: there
+        # only x_N, which enters no cost, is past the bound
+        sys, K = scalar_system(), [[1.0]]
+        cfgs = [EstimatorConfig(ell=4, N=N, r=0.05, seed=1) for N in range(1, 200)]
+        for N, cfg in enumerate(cfgs, start=1):
+            try:
+                reference_estimate(sys, K, cfg)
+            except Unstabilizing:
+                break
+        else:
+            pytest.fail("the reference loop never raised")
+        assert N > 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(estimate_gradient(sys, K, cfgs[N - 2]),
+                                       reference_estimate(sys, K, cfgs[N - 2])[0],
+                                       rtol=1e-12, atol=0)
+            with pytest.raises(Unstabilizing, match=BLOWUP_MESSAGE):
+                estimate_gradient(sys, K, cfgs[N - 1])
 
 
 class TestEpsilonSchedule:
