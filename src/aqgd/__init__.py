@@ -7,9 +7,8 @@ from .errors import (AqgdError, ConfigError, Divergence, NoConvergence,
 from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
 from .lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
                   PolicyVecAdapter, calibrate_noise, constants_for,
-                  dare_optimum, epsilon_schedule, estimate_gradient,
-                  estimate_local_smoothness, lqr_constants, lqr_cost, lqr_grad,
-                  random_stable_instance, rollout)
+                  dare_optimum, estimate_gradient, estimate_local_smoothness,
+                  lqr_cost, lqr_grad, random_stable_instance, rollout)
 from .optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
                        potential, rate_threshold_b, run)
 from .problems import (PerturbedOracle, QuadraticProblem, SineBowl,

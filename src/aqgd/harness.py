@@ -13,12 +13,12 @@ import numpy as np
 from . import lqr as lqr_mod
 from .errors import AqgdError, ConfigError
 from .optimize import RunTrace, default_alpha, rate_threshold_b, run
-from .problems import SineBowl, make_quadratic
+from .problems import PerturbedOracle, SineBowl, make_quadratic
 from .quantize import QuantizerSpec, build_net, encode, scalar_spec
 
 PROBLEM_KINDS = ("quadratic", "lqr-exact", "lqr-modelfree", "pl-nonconvex")
 ALGORITHMS = ("aqgd", "naqgd", "gd-unquantized", "gd-static-quantized")
-NOISE_MODES = ("theory", "empirical", "manual")
+NOISE_MODES = ("empirical", "manual")
 
 
 @dataclass
@@ -43,7 +43,6 @@ class ExperimentConfig:
     r: float = 0.1
     noise_mode: str = "empirical"
     eps_manual: float = 0.0
-    delta: float = 0.1
     out: str = ""
 
     def validate(self) -> None:
@@ -59,9 +58,9 @@ class ExperimentConfig:
             raise ConfigError("T must be non-negative")
         if self.problem == "lqr-modelfree" and self.algorithm == "aqgd":
             raise ConfigError("model-free gradients require the naqgd algorithm")
-        if self.algorithm == "naqgd" and self.problem in ("quadratic", "pl-nonconvex") \
+        if self.algorithm == "naqgd" and self.problem != "lqr-modelfree" \
                 and self.noise_mode != "manual":
-            raise ConfigError("naqgd on synthetic problems needs noise_mode=manual")
+            raise ConfigError("naqgd on exact-gradient problems needs noise_mode=manual")
         if self.algorithm == "naqgd" and self.noise_mode == "manual" \
                 and self.eps_manual <= 0.0:
             raise ConfigError("manual noise mode needs eps_manual > 0")
@@ -113,40 +112,32 @@ def _build_problem(cfg: ExperimentConfig):
     extras = {}
     if cfg.problem == "quadratic":
         oracle = make_quadratic(cfg.d, cfg.kappa, seed=seed)
-        extras["kappa"] = oracle.kappa
     elif cfg.problem == "pl-nonconvex":
         oracle = SineBowl(cfg.d)
-        extras["kappa"] = oracle.L / oracle.mu
     else:
         if cfg.system_file:
             sys = lqr_mod.LtiSystem.load(cfg.system_file)
         else:
             sys = lqr_mod.random_stable_instance(cfg.n, cfg.m, seed,
                                                  rho_target=cfg.rho_target)
-        est = lqr_mod.EstimatorConfig(ell=cfg.ell, N=cfg.N, r=cfg.r, seed=seed)
-        mode = "modelfree" if cfg.problem == "lqr-modelfree" else "exact"
-        oracle = lqr_mod.LqrOracle(sys, mode=mode,
-                                   cfg=est if mode == "modelfree" else None)
+        est = (lqr_mod.EstimatorConfig(ell=cfg.ell, N=cfg.N, r=cfg.r, seed=seed)
+               if cfg.problem == "lqr-modelfree" else None)
+        oracle = lqr_mod.LqrOracle(sys, est)
         # the worst-case smoothness constant is far too conservative to
         # drive the range recursion at experiment scale; measure the
         # local one around the initial gain instead
         K0 = oracle.adapter.to_mat(oracle.x0())
         radius = 0.5 * min(oracle.D, 1.0)
         oracle.L = lqr_mod.estimate_local_smoothness(sys, K0, radius, seed=seed)
-        extras["kappa"] = oracle.L / oracle.mu
-        if mode == "modelfree":
-            if cfg.noise_mode == "theory":
-                eps = lqr_mod.epsilon_schedule(
-                    oracle.consts, sys.m, sys.n, cfg.r, cfg.ell, cfg.N,
-                    max(cfg.T, 1), cfg.delta, float(np.trace(sys.Sigma_w)))
-            elif cfg.noise_mode == "empirical":
+        if est is not None:
+            if cfg.noise_mode == "empirical":
                 eps = lqr_mod.calibrate_noise(sys, K0, est)
             else:
                 eps = cfg.eps_manual
             eps_schedule = np.full(cfg.T + 2, eps)
             extras["eps"] = eps
-    if cfg.algorithm == "naqgd" and cfg.problem in ("quadratic", "pl-nonconvex"):
-        from .problems import PerturbedOracle
+    extras["kappa"] = oracle.L / oracle.mu
+    if cfg.algorithm == "naqgd" and cfg.problem != "lqr-modelfree":
         eps_schedule = np.full(cfg.T + 2, cfg.eps_manual)
         oracle = PerturbedOracle(oracle, eps_schedule, seed=seed)
         extras["eps"] = cfg.eps_manual

@@ -1,7 +1,8 @@
 """Discrete-time LQR: exact cost/gradient via Lyapunov solves, policy
 smoothness/domination constants, trajectory simulation, the perturbed
-single-trajectory gradient estimator, and its high-probability error
-schedule.  A vector adapter exposes policies to the generic optimizer.
+single-trajectory gradient estimator, and empirical calibration of its
+error bound and of the local smoothness.  A vector adapter exposes
+policies to the generic optimizer.
 """
 
 from __future__ import annotations
@@ -160,8 +161,9 @@ def dare_optimum(sys: LtiSystem):
 class LqrConstants:
     """Landscape constants of the cost over the sublevel set
     {K : J(K) <= Jbar}: decay envelope (zeta, eta), gradient bound G,
-    local smoothness L, smoothness radius D, local Lipschitz bound Gbar,
-    and gradient-domination constant mu."""
+    local smoothness L, smoothness radius D, and gradient-domination
+    constant mu.  Every argument but n must be positive; beta1 > 1 warns,
+    because the constants assume a cost normalization with beta1 <= 1."""
 
     beta0: float
     beta1: float
@@ -174,10 +176,18 @@ class LqrConstants:
     G: float = field(init=False)
     L: float = field(init=False)
     D: float = field(init=False)
-    Gbar: float = field(init=False)
     mu: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("beta0", "beta1", "sigma_w_sq", "psi", "Jbar"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.beta1 > 1.0:
+            # stacklevel 3 names the caller of the generated __init__
+            warnings.warn(
+                f"beta1 = {self.beta1:.3g} > 1; the landscape constants assume a "
+                "cost normalization with beta1 <= 1", stacklevel=3,
+            )
         b0, s2, psi, J = self.beta0, self.sigma_w_sq, self.psi, self.Jbar
         zeta = math.sqrt(J / (b0 * s2))
         object.__setattr__(self, "zeta", zeta)
@@ -187,36 +197,18 @@ class LqrConstants:
         object.__setattr__(self, "L",
                            112.0 * math.sqrt(self.n) * J * psi * psi * zeta**8 / b0)
         object.__setattr__(self, "D", 1.0 / (psi * zeta**3))
-        object.__setattr__(self, "Gbar", 4.0 * psi * J * zeta**7 / b0)
         object.__setattr__(self, "mu", 2.0 * J / zeta**4)
 
 
-def lqr_constants(beta0: float, beta1: float, sigma_w_sq: float, psi: float,
-                  Jbar: float, n: int) -> LqrConstants:
-    for name, v in (("beta0", beta0), ("beta1", beta1), ("sigma_w_sq", sigma_w_sq),
-                    ("psi", psi), ("Jbar", Jbar)):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-    if beta1 > 1.0:
-        warnings.warn(
-            f"beta1 = {beta1:.3g} > 1; the landscape constants assume a "
-            "cost normalization with beta1 <= 1", stacklevel=2,
-        )
-    return LqrConstants(beta0, beta1, sigma_w_sq, psi, Jbar, n)
-
-
-def constants_for(sys: LtiSystem, Jbar: float | None = None,
-                  K0=None) -> LqrConstants:
-    """Read (beta0, beta1, sigma_w^2, psi) off the system matrices and
-    default Jbar to 4 J(K0) with K0 = 0."""
-    if Jbar is None:
-        K0 = np.zeros((sys.m, sys.n)) if K0 is None else np.asarray(K0, dtype=float)
-        Jbar = 4.0 * lqr_cost(sys, K0)
+def constants_for(sys: LtiSystem) -> LqrConstants:
+    """Read (beta0, beta1, sigma_w^2, psi) off the system matrices, with
+    Jbar = 4 J(0): the sublevel set of the zero initial gain."""
+    Jbar = 4.0 * lqr_cost(sys, np.zeros((sys.m, sys.n)))
     beta0 = float(min(np.linalg.eigvalsh(sys.Q)[0], np.linalg.eigvalsh(sys.R)[0]))
     beta1 = float(np.linalg.eigvalsh(sys.R)[-1])
     sigma_w_sq = float(np.linalg.eigvalsh(sys.Sigma_w)[0])
     psi = float(max(np.linalg.norm(sys.A, 2), np.linalg.norm(sys.B, 2), 1.0))
-    return lqr_constants(beta0, beta1, sigma_w_sq, psi, Jbar, sys.n)
+    return LqrConstants(beta0, beta1, sigma_w_sq, psi, Jbar, sys.n)
 
 
 @dataclass(frozen=True)
@@ -358,30 +350,12 @@ def estimate_gradient(sys: LtiSystem, K, cfg: EstimatorConfig, t: int = 0) -> np
         raise Unstabilizing(
             f"state norm exceeded {STATE_BLOWUP:.0e} during estimation"
         )
+    # at N = 1 the only cost term is x_0' Q_eff x_0 = 0, which the Gram
+    # contraction would turn into 0 * inf = NaN where Q_eff overflows
+    if N == 1:
+        return np.zeros((m, n))
     scale = m * n / (r * N * ell)
     return scale * np.einsum("t,tij->ij", costs, U)
-
-
-def epsilon_schedule(consts: LqrConstants, m: int, n: int, r: float, ell: int,
-                     N: int, T: int, delta: float, tr_Sigma_w: float) -> float:
-    """High-probability bound on the gradient-estimate error: bias term
-    L r plus three concentration terms shrinking in ell and N."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if min(m, n, ell, N, T) < 1 or r <= 0:
-        raise ValueError("counts must be positive and r > 0")
-    z, eta = consts.zeta, consts.eta
-    b1, J = consts.beta1, consts.Jbar
-    mn = m * n
-    term1 = consts.L * r
-    term2 = (mn * J / (r * math.sqrt(ell))) * math.sqrt(8.0 * math.log(45.0 * T / delta))
-    term3 = (10.0 * mn * b1 * z**4 * tr_Sigma_w / (3.0 * T * N * r * (1.0 - eta))) \
-        * math.log(27.0 * T * N / delta)
-    term4 = (10.0 * mn * b1 * z * z * tr_Sigma_w / (r * (1.0 - eta) ** 2)) \
-        * math.log(3.0 * N * ell * T / delta) \
-        * ((1.0 + z * z) / math.sqrt(ell) * math.sqrt(2.0 * math.log(45.0 * T / delta))
-           + z**4 / (N * (1.0 - eta)))
-    return term1 + term2 + term3 + term4
 
 
 def random_stable_instance(n: int, m: int, seed: int,
@@ -436,39 +410,30 @@ def calibrate_noise(sys: LtiSystem, K0, cfg: EstimatorConfig,
 
 
 class LqrOracle(GradOracle):
-    """Vector-space view of the policy-gradient problem over vec(K).
+    """Vector-space view of the policy-gradient problem over vec(K),
+    started from K0 = 0.
 
-    Exact mode serves analytic gradients; model-free mode serves
-    perturbed-trajectory estimates (keyed to the iteration counter so
-    streams never repeat).  Cost and exact gradient are cached per
-    iterate, because the optimizer evaluates both at each point.
+    Every oracle serves analytic gradients; one given an EstimatorConfig
+    also serves perturbed-trajectory estimates as noisy gradients (keyed
+    to the iteration counter so streams never repeat).  Cost and exact
+    gradient are cached per iterate, because the optimizer evaluates both
+    at each point.
     """
 
-    def __init__(self, sys: LtiSystem, mode: str = "exact",
-                 cfg: EstimatorConfig | None = None, K0=None):
-        if mode not in ("exact", "modelfree"):
-            raise ValueError(f"unknown oracle mode {mode!r}")
-        if mode == "modelfree" and cfg is None:
-            raise ValueError("model-free mode needs an EstimatorConfig")
+    def __init__(self, sys: LtiSystem, cfg: EstimatorConfig | None = None):
         self.sys = sys
-        self.mode = mode
         self.cfg = cfg
         self.adapter = PolicyVecAdapter(sys.m, sys.n)
         self.d = self.adapter.dim
-        self.K0 = (np.zeros((sys.m, sys.n)) if K0 is None
-                   else np.atleast_2d(np.asarray(K0, dtype=float)))
-        self.consts = constants_for(sys, K0=self.K0)
-        self.L = self.consts.L
-        self.mu = self.consts.mu
-        self.G = self.consts.G
-        self.D = self.consts.D
+        consts = constants_for(sys)
+        self.L = consts.L
+        self.mu = consts.mu
+        self.G = consts.G
+        self.D = consts.D
         _, _, Jstar = dare_optimum(sys)
         self.f_star = Jstar
         self._cache_key = None
         self._cache_val = None
-
-    def x0(self) -> np.ndarray:
-        return self.adapter.to_vec(self.K0)
 
     def _exact(self, x):
         key = x.tobytes()
@@ -485,7 +450,8 @@ class LqrOracle(GradOracle):
         return self.adapter.to_vec(self._exact(np.asarray(x, dtype=float))[1])
 
     def eval_noisy_grad(self, x, t: int) -> np.ndarray:
-        if self.mode != "modelfree":
-            raise NotImplementedError("exact-mode oracle has no noisy gradient")
+        if self.cfg is None:
+            raise NotImplementedError("an oracle without an EstimatorConfig "
+                                      "has no noisy gradient")
         K = self.adapter.to_mat(np.asarray(x, dtype=float))
         return self.adapter.to_vec(estimate_gradient(self.sys, K, self.cfg, t=t))

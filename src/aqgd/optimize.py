@@ -25,8 +25,9 @@ DIVERGENCE_FACTOR = 1e6
 class GradOracle:
     """Contract the optimizer drives: dimension, constants, evaluations.
 
-    Exact-mode oracles implement ``eval_grad``; noisy-mode oracles
-    implement ``eval_noisy_grad(x, t)`` and the caller supplies the
+    Every oracle implements ``eval_grad``, the exact gradient that AQGD
+    descends along and that both loops trace.  Oracles for NAQGD also
+    implement ``eval_noisy_grad(x, t)``, and the caller supplies the
     per-iteration error bounds out-of-band.  ``eval_f`` and ``f_star``
     are used for tracing and invariant checks.
     """
@@ -177,9 +178,11 @@ def run(
     x <- x - alpha g and updates the range by R <- gamma R + alpha L ||g||,
     plus eps_t + eps_{t+1} under NAQGD.
 
-    The trace has T + 1 records.  NAQGD requires ``eps_schedule`` with at
-    least T + 1 entries (the range update at step t reads eps_t and
-    eps_{t+1}).
+    The trace has T + 1 records.  The gradient norm and the estimate error
+    are traced against the oracle's exact ``eval_grad`` in both loops.
+    NAQGD descends along ``eval_noisy_grad`` and requires ``eps_schedule``
+    with at least T + 1 entries (the range update at step t reads eps_t
+    and eps_{t+1}).
     """
     if loop_kind not in ("aqgd", "naqgd"):
         raise ValueError(f"unknown loop kind {loop_kind!r}")
@@ -217,13 +220,9 @@ def run(
     prev_R = 0.0
     for t in range(n):
         gap = oracle.f_gap(x)
-        try:
-            grad_true = oracle.eval_grad(x)
-            gn = _norm(grad_true)
-        except NotImplementedError:
-            grad_true, gn = None, math.nan
+        grad_true = oracle.eval_grad(x)
         f_gap[t] = gap
-        grad_norm[t] = gn
+        grad_norm[t] = _norm(grad_true)
         Rs[t] = R_s
         bits[t] = sent
         V[t] = potential(alpha, gap, R_s, loop_kind, prev_gap, prev_R)
@@ -258,8 +257,7 @@ def run(
             raise AssertionError("worker/server state diverged (decoding symmetry broken)")
         sent += frame.bit_len
         innov[t] = _norm(innovation)
-        if grad_true is not None:
-            e_norm[t] = _norm(grad_true - g_s)
+        e_norm[t] = _norm(grad_true - g_s)
     return RunTrace(
         f_gap=f_gap, grad_norm=grad_norm, R=Rs, innov_norm=innov,
         e_norm=e_norm, V=V, bits=bits, mode=loop_kind,

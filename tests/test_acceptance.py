@@ -191,7 +191,7 @@ def test_criterion_07_exact_gradient_lqr(lqr_instance, capsys):
     from aqgd.lqr import LqrOracle, estimate_local_smoothness
     t0 = time.perf_counter()
     sys = lqr_instance
-    oracle = LqrOracle(sys, mode="exact")
+    oracle = LqrOracle(sys)
     consts = constants_for(sys)
     # the worst-case smoothness constant is astronomically conservative;
     # drive the range recursion with the measured local one, as the
@@ -301,7 +301,7 @@ def test_criterion_10_estimator_soundness(lqr_instance, capsys):
     z = abs(ests.mean() - smoothed) / se
     assert z <= 3.0
     # smoothed-gradient bias against the exact gradient
-    consts = constants_for(sys, Jbar=4.0 * lqr_cost(sys, K), K0=K)
+    consts = constants_for(sys)  # Jbar = 4 J(K) at this K = 0
     exact = lqr_grad(sys, K)[0, 0]
     assert abs(smoothed - exact) <= consts.L * r
     # sample-complexity scaling: squared plateau error vs ell

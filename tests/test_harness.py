@@ -241,10 +241,28 @@ class TestCli:
         assert main(["verify"]) == 2
         assert "verify: 4 violations" in capsys.readouterr().out
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("problem = cubic\n")
-        assert main(["run", str(cfg)]) == 4
+    @pytest.mark.parametrize("text", [
+        "problem = cubic\n",
+        "noise_mode = theory\n",
+        "delta = 0.1\n",
+        "problem = lqr-exact\nalgorithm = naqgd\nn = 3\nm = 2\nT = 20\n"
+        "alpha = 1e-3\n",
+    ], ids=["problem=cubic", "noise_mode=theory", "delta=0.1",
+            "lqr-exact-naqgd-without-manual-noise"])
+    def test_config_error_exit_code(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path / "bad.cfg", text)
+        assert main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_lqr_exact_naqgd_with_manual_noise(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "lqr.cfg",
+                           "problem = lqr-exact\nalgorithm = naqgd\nn = 3\n"
+                           "m = 2\nT = 20\nalpha = 1e-3\nnoise_mode = manual\n"
+                           "eps_manual = 1e-3\n")
+        assert main(["run", cfg]) == 0
+        trace, summary = run_experiment(parse_config(cfg))
+        assert trace.mode == "naqgd" and summary.extras["eps"] == 1e-3
 
     @pytest.mark.parametrize("spec", ["foo=1,2", "b=3.5"])
     def test_sweep_config_error_exit_code(self, tmp_path, capsys, spec):

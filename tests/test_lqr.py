@@ -8,11 +8,11 @@ import aqgd.linalg
 import aqgd.lqr
 from aqgd.errors import Unstabilizing
 from aqgd.linalg import spectral_radius
-from aqgd.lqr import (EstimatorConfig, LqrOracle, LtiSystem,
+from aqgd.lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
                       PolicyVecAdapter, calibrate_noise, constants_for,
-                      dare_optimum, epsilon_schedule, estimate_gradient,
-                      estimate_local_smoothness, lqr_constants, lqr_cost,
-                      lqr_grad, random_stable_instance, rollout)
+                      dare_optimum, estimate_gradient,
+                      estimate_local_smoothness, lqr_cost, lqr_grad,
+                      random_stable_instance, rollout)
 
 
 def scalar_system():
@@ -107,12 +107,11 @@ class TestGradient:
 
 class TestConstants:
     def test_worked_example(self):
-        c = lqr_constants(1.0, 1.0, 1.0, 1.0, 4.0, 4)
+        c = LqrConstants(1.0, 1.0, 1.0, 1.0, 4.0, 4)
         assert c.zeta == pytest.approx(2.0, abs=0)
         assert c.eta == pytest.approx(0.875, abs=0)
         assert c.mu == pytest.approx(0.5, abs=0)
         assert c.D == pytest.approx(0.125, abs=0)
-        assert c.Gbar == pytest.approx(2048.0, abs=0)
         assert c.G == pytest.approx(8 * np.sqrt(20), rel=1e-12)
         assert c.L == pytest.approx(229376.0, abs=0)
 
@@ -125,7 +124,16 @@ class TestConstants:
 
     def test_beta1_above_one_warns(self):
         with pytest.warns(UserWarning):
-            lqr_constants(1.0, 5.0, 1.0, 1.0, 4.0, 4)
+            LqrConstants(1.0, 5.0, 1.0, 1.0, 4.0, 4)
+
+    def test_non_positive_argument_rejected(self):
+        names = ("beta0", "beta1", "sigma_w_sq", "psi", "Jbar")
+        for i, name in enumerate(names):
+            for bad in (0.0, -1.0):
+                args = [1.0, 1.0, 1.0, 1.0, 4.0]
+                args[i] = bad
+                with pytest.raises(ValueError, match=f"{name} must be positive"):
+                    LqrConstants(*args, 4)
 
     def test_value_matrix_norm_bound(self):
         # ||P_K|| <= 2 beta1 zeta^4 / (1 - eta) over the sublevel set
@@ -350,6 +358,17 @@ class TestEstimatorKernel:
             with pytest.raises(Unstabilizing, match=BLOWUP_MESSAGE):
                 reference_estimate(sys, np.full((3, 5), 1e200), cfg)
 
+    @pytest.mark.parametrize("scale", [1e200, 0.1])
+    def test_one_step_estimate_is_zero(self, scale):
+        # N = 1 sums only the stage cost at x_0 = 0, even where Q + K'RK
+        # overflows at the 1e200 gain
+        sys = random_stable_instance(3, 2, seed=3)
+        cfg = EstimatorConfig(ell=4, N=1, r=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = estimate_gradient(sys, np.full((2, 3), scale), cfg)
+        assert np.array_equal(got, np.zeros((2, 3)))
+
     def test_last_state_is_checked(self):
         # the shortest horizon on which the reference loop raises: there
         # only x_N, which enters no cost, is past the bound
@@ -370,49 +389,6 @@ class TestEstimatorKernel:
                                        rtol=1e-12, atol=0)
             with pytest.raises(Unstabilizing, match=BLOWUP_MESSAGE):
                 estimate_gradient(sys, K, cfgs[N - 1])
-
-
-class TestEpsilonSchedule:
-    @staticmethod
-    def reference(c, m, n, r, ell, N, T, delta, trS):
-        # independently scripted evaluation of the four-term bound
-        z, eta = c.zeta, c.eta
-        t1 = c.L * r
-        t2 = m * n * c.Jbar / (r * np.sqrt(ell)) \
-            * np.sqrt(8 * np.log(45 * T / delta))
-        t3 = 10 * m * n * c.beta1 * z**4 * trS / (3 * T * N * r * (1 - eta)) \
-            * np.log(27 * T * N / delta)
-        t4 = 10 * m * n * c.beta1 * z**2 * trS / (r * (1 - eta) ** 2) \
-            * np.log(3 * N * ell * T / delta) \
-            * ((1 + z**2) / np.sqrt(ell) * np.sqrt(2 * np.log(45 * T / delta))
-               + z**4 / (N * (1 - eta)))
-        return t1 + t2 + t3 + t4
-
-    def test_duplicate_implementation_agreement(self):
-        c = lqr_constants(1.0, 1.0, 1.0, 1.0, 4.0, 5)
-        args = (3, 5, 0.1, 10_000, 10_000, 40, 0.1, 5.0)
-        got = epsilon_schedule(c, *args)
-        want = self.reference(c, *args)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_limit_is_bias_term(self):
-        c = lqr_constants(1.0, 1.0, 1.0, 1.0, 4.0, 5)
-        big = epsilon_schedule(c, 3, 5, 0.1, 10**18, 10**18, 40, 0.1, 5.0)
-        assert big == pytest.approx(c.L * 0.1, rel=1e-3)
-
-    def test_monotone_in_samples(self):
-        c = lqr_constants(1.0, 1.0, 1.0, 1.0, 4.0, 5)
-        vals = [epsilon_schedule(c, 3, 5, 0.1, ell, 500, 40, 0.1, 5.0)
-                for ell in (10, 100, 1000, 10_000)]
-        assert vals == sorted(vals, reverse=True)
-        vals = [epsilon_schedule(c, 3, 5, 0.1, 500, N, 40, 0.1, 5.0)
-                for N in (10, 100, 1000, 10_000)]
-        assert vals == sorted(vals, reverse=True)
-
-    def test_invalid_delta_rejected(self):
-        c = lqr_constants(1.0, 1.0, 1.0, 1.0, 4.0, 5)
-        with pytest.raises(ValueError):
-            epsilon_schedule(c, 3, 5, 0.1, 10, 10, 10, 1.5, 5.0)
 
 
 class TestRandomInstance:
@@ -441,7 +417,7 @@ class TestRandomInstance:
 class TestOracle:
     def test_exact_mode_matches_analytic_gradient(self):
         sys = random_stable_instance(3, 2, seed=20)
-        orc = LqrOracle(sys, mode="exact")
+        orc = LqrOracle(sys)
         rng = np.random.default_rng(20)
         for scale in (0.0, 0.01, 0.05, 0.1):
             x = orc.x0() + scale * rng.standard_normal(orc.d)
@@ -449,6 +425,9 @@ class TestOracle:
             assert np.array_equal(orc.eval_grad(x),
                                   orc.adapter.to_vec(lqr_grad(sys, K)))
             assert orc.eval_f(x) == lqr_cost(sys, K)
+        # without an EstimatorConfig there is no noisy gradient
+        with pytest.raises(NotImplementedError):
+            orc.eval_noisy_grad(orc.x0(), 0)
 
     def test_one_closed_loop_solve_per_iterate(self, monkeypatch):
         sys = random_stable_instance(4, 2, seed=23)
@@ -497,7 +476,7 @@ class TestOracle:
     def test_modelfree_noisy_gradient_shape(self):
         sys = random_stable_instance(3, 2, seed=22)
         cfg = EstimatorConfig(ell=8, N=30, r=0.1, seed=1)
-        orc = LqrOracle(sys, mode="modelfree", cfg=cfg)
+        orc = LqrOracle(sys, cfg)
         g = orc.eval_noisy_grad(orc.x0(), t=0)
         assert g.shape == (6,)
 
