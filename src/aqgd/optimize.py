@@ -55,7 +55,7 @@ class GradOracle:
 
 
 def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(v @ v))
+    return math.sqrt(v.dot(v))
 
 
 @dataclass
@@ -253,7 +253,7 @@ def run(
         g_s = g_s + decode(quant, frame, R_s)
         x = x - alpha * g_s
         R_s = gamma * R_s + alpha * L * _norm(g_s) + eps_t + eps_next
-        if not (np.array_equal(g_w, g_s) and R_w == R_s):
+        if np.count_nonzero(g_w != g_s) or R_w != R_s:
             raise AssertionError("worker/server state diverged (decoding symmetry broken)")
         sent += frame.bit_len
         innov[t] = _norm(innovation)

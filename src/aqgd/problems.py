@@ -35,13 +35,13 @@ class QuadraticProblem(GradOracle):
         return 0.5 * float(x @ self.H @ x) - float(self.c @ x)
 
     def eval_grad(self, x) -> np.ndarray:
-        return self.H @ np.asarray(x, dtype=float) - self.c
+        return self.H.dot(np.asarray(x, dtype=float)) - self.c
 
     def f_gap(self, x) -> float:
         # the quadratic identity 0.5 (x-x*)'H(x-x*): exact even when the
         # gap is many orders below f* in magnitude
         r = np.asarray(x, dtype=float) - self.xstar
-        return 0.5 * float(r @ self.H @ r)
+        return 0.5 * float(r.dot(self.H).dot(r))
 
 
 def make_quadratic(d: int, kappa: float, seed: int = 0) -> QuadraticProblem:

@@ -10,6 +10,7 @@ families are provided: a per-component uniform scalar quantizer over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,12 @@ class CodeFrame:
     bit_len: int
 
 
+@functools.lru_cache(maxsize=None)
+def _bit_weights(b: int) -> np.ndarray:
+    """2**(b-1), ..., 2, 1: the place values of a b-bit field, MSB first."""
+    return 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
+
+
 def pack_bits(indices, b: int) -> CodeFrame:
     """Pack integers into ``b`` bits each, big-endian within each component."""
     if b < 1:
@@ -36,11 +43,10 @@ def pack_bits(indices, b: int) -> CodeFrame:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("indices must be a flat sequence")
-    if idx.size and (idx.min() < 0 or idx.max() >= (1 << b)):
+    if np.count_nonzero(idx >> b):  # a negative index or one >= 2**b
         raise ValueError(f"indices do not fit in {b} bits")
-    shifts = np.arange(b - 1, -1, -1, dtype=np.int64)
-    bits = ((idx[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    payload = np.packbits(bits).tobytes()  # packbits zero-pads the final byte
+    # packbits sets a bit for each nonzero entry and zero-pads the final byte
+    payload = np.packbits(idx[:, None] & _bit_weights(b)).tobytes()
     return CodeFrame(payload=payload, bit_len=b * idx.size)
 
 
@@ -52,8 +58,7 @@ def unpack_bits(frame: CodeFrame, b: int, count: int) -> np.ndarray:
         )
     bits = np.unpackbits(np.frombuffer(frame.payload, dtype=np.uint8),
                          count=b * count).astype(np.int64)
-    weights = 1 << np.arange(b - 1, -1, -1, dtype=np.int64)
-    return bits.reshape(count, b) @ weights
+    return bits.reshape(count, b).dot(_bit_weights(b))
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ def encode(spec: QuantizerSpec, x, R: float) -> tuple[CodeFrame, np.ndarray]:
     x = np.asarray(x, dtype=float)
     if R < 0 or not math.isfinite(R):
         raise ValueError("R must be finite and nonnegative")
-    if math.sqrt(float(x @ x)) > R:
+    if math.sqrt(x.dot(x)) > R:
         raise Overflow(f"||x|| = {np.linalg.norm(x):.6g} exceeds range R = {R:.6g}")
     if R == 0.0:
         nbits = spec.frame_bits
@@ -176,9 +181,12 @@ def encode(spec: QuantizerSpec, x, R: float) -> tuple[CodeFrame, np.ndarray]:
     if spec.family == "scalar":
         nbins = 1 << spec.b
         width = 2.0 * R / nbins
-        idx = np.floor((x + R) / width).astype(np.int64)
-        np.minimum(idx, nbins - 1, out=idx)  # x_i == R lands in the closed final bin
-        return pack_bits(idx, spec.b), -R + (idx + 0.5) * width
+        # bin numbers, kept as floats for the reconstruction
+        k = x + R
+        k /= width
+        np.floor(k, out=k)
+        np.minimum(k, nbins - 1, out=k)  # x_i == R lands in the closed final bin
+        return pack_bits(k.astype(np.int64), spec.b), -R + (k + 0.5) * width
     dist = np.linalg.norm(spec.codebook - x / R, axis=1)
     idx = int(np.argmin(dist))  # ties resolve to the lowest index
     return pack_bits([idx], spec.frame_bits), R * spec.codebook[idx]
