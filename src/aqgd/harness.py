@@ -170,8 +170,7 @@ def _run_gd(oracle, alpha: float, T: int) -> RunTrace:
     f_gap = np.empty(n)
     grad_norm = np.empty(n)
     for t in range(n):
-        g = oracle.eval_grad(x)
-        f_gap[t] = oracle.f_gap(x)
+        f_gap[t], g = oracle.gap_and_grad(x)
         grad_norm[t] = float(np.linalg.norm(g))
         if t < T:
             x = x - alpha * g
@@ -195,8 +194,7 @@ def _run_static_quantized(oracle, quant: QuantizerSpec, alpha: float,
     bits = np.zeros(n, dtype=np.int64)
     sent = 0
     for t in range(n):
-        grad = oracle.eval_grad(x)
-        f_gap[t] = oracle.f_gap(x)
+        f_gap[t], grad = oracle.gap_and_grad(x)
         grad_norm[t] = float(np.linalg.norm(grad))
         bits[t] = sent
         if t == T:

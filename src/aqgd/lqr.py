@@ -415,9 +415,8 @@ class LqrOracle(GradOracle):
 
     Every oracle serves analytic gradients; one given an EstimatorConfig
     also serves perturbed-trajectory estimates as noisy gradients (keyed
-    to the iteration counter so streams never repeat).  Cost and exact
-    gradient are cached per iterate, because the optimizer evaluates both
-    at each point.
+    to the iteration counter so streams never repeat).  ``gap_and_grad``
+    takes the cost and the exact gradient from one closed-loop solve.
     """
 
     def __init__(self, sys: LtiSystem, cfg: EstimatorConfig | None = None):
@@ -432,26 +431,25 @@ class LqrOracle(GradOracle):
         self.D = consts.D
         _, _, Jstar = dare_optimum(sys)
         self.f_star = Jstar
-        self._cache_key = None
-        self._cache_val = None
 
-    def _exact(self, x):
-        key = x.tobytes()
-        if key != self._cache_key:
-            solves = _closed_loop_solves(self.sys, self.adapter.to_mat(x))
-            self._cache_val = (_cost(self.sys, *solves), _grad(self.sys, *solves))
-            self._cache_key = key
-        return self._cache_val
+    def _solves(self, x):
+        return _closed_loop_solves(self.sys, self.adapter.to_mat(x))
 
     def eval_f(self, x) -> float:
-        return self._exact(np.asarray(x, dtype=float))[0]
+        return _cost(self.sys, *self._solves(x))
 
     def eval_grad(self, x) -> np.ndarray:
-        return self.adapter.to_vec(self._exact(np.asarray(x, dtype=float))[1])
+        return self.adapter.to_vec(_grad(self.sys, *self._solves(x)))
 
-    def eval_noisy_grad(self, x, t: int) -> np.ndarray:
+    def gap_and_grad(self, x) -> tuple[float, np.ndarray]:
+        solves = self._solves(x)
+        return (_cost(self.sys, *solves) - self.f_star,
+                self.adapter.to_vec(_grad(self.sys, *solves)))
+
+    def eval_noisy_grad(self, x, t: int, grad: np.ndarray) -> np.ndarray:
+        """The perturbed-trajectory estimate at x; the exact ``grad`` is unused."""
         if self.cfg is None:
             raise NotImplementedError("an oracle without an EstimatorConfig "
                                       "has no noisy gradient")
-        K = self.adapter.to_mat(np.asarray(x, dtype=float))
+        K = self.adapter.to_mat(x)
         return self.adapter.to_vec(estimate_gradient(self.sys, K, self.cfg, t=t))

@@ -25,11 +25,14 @@ DIVERGENCE_FACTOR = 1e6
 class GradOracle:
     """Contract the optimizer drives: dimension, constants, evaluations.
 
-    Every oracle implements ``eval_grad``, the exact gradient that AQGD
-    descends along and that both loops trace.  Oracles for NAQGD also
-    implement ``eval_noisy_grad(x, t)``, and the caller supplies the
-    per-iteration error bounds out-of-band.  ``eval_f`` and ``f_star``
-    are used for tracing and invariant checks.
+    The loops make one ``gap_and_grad(x)`` call per iterate: it returns
+    the optimality gap f(x) - f_star, which is only traced, and the exact
+    gradient, which AQGD descends along and both loops trace.  The
+    default forms the gap from ``eval_f`` and ``f_star``; an oracle whose
+    gap and gradient share work overrides it.  ``f_gap`` is its first
+    half.  Oracles for NAQGD also implement ``eval_noisy_grad(x, t,
+    grad)``, given the exact gradient at x, and the caller supplies the
+    per-iteration error bounds out-of-band.
     """
 
     d: int
@@ -47,11 +50,14 @@ class GradOracle:
     def eval_grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def eval_noisy_grad(self, x, t: int) -> np.ndarray:
+    def eval_noisy_grad(self, x, t: int, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def gap_and_grad(self, x) -> tuple[float, np.ndarray]:
+        return self.eval_f(x) - self.f_star, self.eval_grad(x)
+
     def f_gap(self, x) -> float:
-        return self.eval_f(x) - self.f_star
+        return self.gap_and_grad(x)[0]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -178,11 +184,13 @@ def run(
     x <- x - alpha g and updates the range by R <- gamma R + alpha L ||g||,
     plus eps_t + eps_{t+1} under NAQGD.
 
-    The trace has T + 1 records.  The gradient norm and the estimate error
-    are traced against the oracle's exact ``eval_grad`` in both loops.
-    NAQGD descends along ``eval_noisy_grad`` and requires ``eps_schedule``
-    with at least T + 1 entries (the range update at step t reads eps_t
-    and eps_{t+1}).
+    The trace has T + 1 records, and the oracle is evaluated once per
+    record: ``gap_and_grad`` gives the traced gap and the exact gradient,
+    against which the gradient norm and the estimate error are traced in
+    both loops.  Under AQGD, R0 below the first gradient's norm raises
+    ValueError.  NAQGD descends along ``eval_noisy_grad``, given the exact
+    gradient, and requires ``eps_schedule`` with at least T + 1 entries
+    (the range update at step t reads eps_t and eps_{t+1}).
     """
     if loop_kind not in ("aqgd", "naqgd"):
         raise ValueError(f"unknown loop kind {loop_kind!r}")
@@ -196,10 +204,6 @@ def run(
                 "envelope is not guaranteed", stacklevel=2,
             )
     x = oracle.x0()
-    if not noisy:
-        g0 = float(np.linalg.norm(oracle.eval_grad(x)))
-        if g0 > R0:
-            raise ValueError(f"R0 = {R0:.6g} below ||grad(x0)|| = {g0:.6g}")
     L, alpha, gamma = oracle.L, float(alpha), float(quant.gamma)
     # the worker's and the server's copies of the gradient estimate and
     # the range; only the frames pass between them
@@ -219,8 +223,11 @@ def run(
     prev_gap = 0.0
     prev_R = 0.0
     for t in range(n):
-        gap = oracle.f_gap(x)
-        grad_true = oracle.eval_grad(x)
+        gap, grad_true = oracle.gap_and_grad(x)
+        if t == 0 and not noisy:
+            g0 = float(np.linalg.norm(grad_true))
+            if g0 > R0:
+                raise ValueError(f"R0 = {R0:.6g} below ||grad(x0)|| = {g0:.6g}")
         f_gap[t] = gap
         grad_norm[t] = _norm(grad_true)
         Rs[t] = R_s
@@ -240,7 +247,7 @@ def run(
         prev_gap = gap
         prev_R = R_s
         if noisy:
-            grad = oracle.eval_noisy_grad(x, t)
+            grad = oracle.eval_noisy_grad(x, t, grad_true)
             eps_t, eps_next = eps_schedule[t], eps_schedule[t + 1]
         else:
             grad, eps_t, eps_next = grad_true, 0.0, 0.0

@@ -37,11 +37,15 @@ class QuadraticProblem(GradOracle):
     def eval_grad(self, x) -> np.ndarray:
         return self.H.dot(np.asarray(x, dtype=float)) - self.c
 
-    def f_gap(self, x) -> float:
-        # the quadratic identity 0.5 (x-x*)'H(x-x*): exact even when the
-        # gap is many orders below f* in magnitude
-        r = np.asarray(x, dtype=float) - self.xstar
-        return 0.5 * float(r.dot(self.H).dot(r))
+    def gap_and_grad(self, x) -> tuple[float, np.ndarray]:
+        # the quadratic identity f(x) - f* = 0.5 (x-x*)'g with g = H(x-x*):
+        # one H product serves the gap and the gradient, and the gap
+        # stays accurate when it is many orders below f* in magnitude.
+        # Its relative error is about eps ||H|| ||x|| / ||x - x*||, since g
+        # is formed as Hx - c, so it grows near the optimum.
+        x = np.asarray(x, dtype=float)
+        g = self.eval_grad(x)
+        return 0.5 * float((x - self.xstar).dot(g)), g
 
 
 def make_quadratic(d: int, kappa: float, seed: int = 0) -> QuadraticProblem:
@@ -63,8 +67,8 @@ def make_quadratic(d: int, kappa: float, seed: int = 0) -> QuadraticProblem:
         lam.sort()
         lam[0], lam[-1] = 1.0, float(kappa)
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        H = Q @ np.diag(lam) @ Q.T
-        H = 0.5 * (H + H.T)
+        H = (Q * lam) @ Q.T
+        H = 0.5 * (H + H.T)  # c below is formed from the symmetric H
     xstar = rng.standard_normal(d)
     xstar /= max(np.linalg.norm(xstar), 1e-12)
     return QuadraticProblem(H, H @ xstar)
@@ -137,8 +141,8 @@ class PerturbedOracle(GradOracle):
     def eval_grad(self, x) -> np.ndarray:
         return self.base.eval_grad(x)
 
-    def f_gap(self, x) -> float:
-        return self.base.f_gap(x)
+    def gap_and_grad(self, x) -> tuple[float, np.ndarray]:
+        return self.base.gap_and_grad(x)
 
-    def eval_noisy_grad(self, x, t: int) -> np.ndarray:
-        return self.base.eval_grad(x) + self.eps[t] * self.u
+    def eval_noisy_grad(self, x, t: int, grad: np.ndarray) -> np.ndarray:
+        return grad + self.eps[t] * self.u

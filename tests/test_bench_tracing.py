@@ -24,6 +24,20 @@ for quantizer in ("scalar", "net"):
     print(quantizer, n["quantize.encode"], n["quantize.decode"], n["optimize.run"])
 """
 
+# one traced quadratic run: the benchmark's h_bytes_per_iter counts one
+# d x d product per problems.grad or problems.gap span
+TRACED_QUADRATIC_ORACLE = """
+import collections
+import tracing
+from aqgd import harness
+tracer = tracing.Tracer()
+tracing.install(tracer)
+harness.run_experiment(harness.ExperimentConfig(problem="quadratic", d=3, kappa=10.0,
+                                                T=20))
+n = collections.Counter(s[0] for s in tracer.spans)
+print(n["problems.grad"], n["problems.gap"])
+"""
+
 # one traced small model-free run: the benchmark's rollout-rate metric
 # counts ell * N steps per lqr.estimate_gradient span
 TRACED_MODELFREE_RUN = """
@@ -62,3 +76,10 @@ def test_traced_modelfree_run_records_every_estimate():
     assert proc.returncode == 0, proc.stderr
     # 5 calibration calls and one per step of T = 5, each of 8 x 30 steps
     assert proc.stdout.strip() == str([8 * 30] * 10)
+
+
+def test_traced_quadratic_run_reads_h_once_per_record():
+    proc = run_in_bench(TRACED_QUADRATIC_ORACLE)
+    assert proc.returncode == 0, proc.stderr
+    # T + 1 records and the set-up's R0 evaluation; the gap comes with the gradient
+    assert proc.stdout.split() == ["22", "0"]

@@ -13,6 +13,8 @@ from aqgd.lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
                       dare_optimum, estimate_gradient,
                       estimate_local_smoothness, lqr_cost, lqr_grad,
                       random_stable_instance, rollout)
+from aqgd.optimize import run
+from aqgd.quantize import scalar_spec
 
 
 def scalar_system():
@@ -427,7 +429,7 @@ class TestOracle:
             assert orc.eval_f(x) == lqr_cost(sys, K)
         # without an EstimatorConfig there is no noisy gradient
         with pytest.raises(NotImplementedError):
-            orc.eval_noisy_grad(orc.x0(), 0)
+            orc.eval_noisy_grad(orc.x0(), 0, orc.eval_grad(orc.x0()))
 
     def test_one_closed_loop_solve_per_iterate(self, monkeypatch):
         sys = random_stable_instance(4, 2, seed=23)
@@ -447,12 +449,34 @@ class TestOracle:
         monkeypatch.setattr(aqgd.lqr, "spectral_radius",
                             counted("eig", aqgd.lqr.spectral_radius))
         x = orc.x0() + 0.01
-        orc.f_gap(x)
-        orc.eval_grad(x)
+        gap, grad = orc.gap_and_grad(x)
         assert calls == {"lyapunov": 2, "eig": 0}
-        orc.f_gap(x.copy())
-        orc.eval_grad(x.copy())
+        K = orc.adapter.to_mat(x)
+        assert gap == lqr_cost(sys, K) - orc.f_star
+        assert np.array_equal(grad, orc.adapter.to_vec(lqr_grad(sys, K)))
+        # nothing is kept between calls: a repeat solves again
+        calls.update(lyapunov=0)
+        orc.gap_and_grad(x)
         assert calls == {"lyapunov": 2, "eig": 0}
+
+    def test_run_solves_once_per_record(self, monkeypatch):
+        sys = random_stable_instance(4, 2, seed=23)
+        orc = LqrOracle(sys)
+        # the local smoothness, as the harness sets it
+        orc.L = estimate_local_smoothness(sys, np.zeros((2, 4)), 0.5 * min(orc.D, 1.0))
+        R0 = 1.5 * float(np.linalg.norm(orc.eval_grad(orc.x0())))
+        calls = {"lyapunov": 0}
+        real = aqgd.lqr.solve_discrete_lyapunov
+
+        def counted(*args, **kwargs):
+            calls["lyapunov"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(aqgd.lqr, "solve_discrete_lyapunov", counted)
+        T = 12
+        trace = run("aqgd", orc, scalar_spec(orc.d, 8), 1 / (6 * orc.L), R0, T)
+        assert len(trace) == T + 1
+        assert calls["lyapunov"] == 2 * (T + 1)
 
     def test_f_star_from_riccati(self):
         sys = random_stable_instance(3, 2, seed=21)
@@ -477,7 +501,7 @@ class TestOracle:
         sys = random_stable_instance(3, 2, seed=22)
         cfg = EstimatorConfig(ell=8, N=30, r=0.1, seed=1)
         orc = LqrOracle(sys, cfg)
-        g = orc.eval_noisy_grad(orc.x0(), t=0)
+        g = orc.eval_noisy_grad(orc.x0(), 0, orc.eval_grad(orc.x0()))
         assert g.shape == (6,)
 
     def test_truncation_bias_within_decay_bound(self):

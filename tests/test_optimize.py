@@ -5,6 +5,7 @@ import pytest
 
 from aqgd import optimize
 from aqgd.errors import Divergence
+from aqgd.harness import ExperimentConfig, run_experiment
 from aqgd.optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
                            potential, rate_threshold_b, run)
 from aqgd.problems import PerturbedOracle, QuadraticProblem, make_quadratic
@@ -31,9 +32,9 @@ class TestAqgdStep:
             def x0(self):
                 return np.array([1.0, 1.0])
 
-            def f_gap(self, x):
+            def eval_grad(self, x):
                 self.seen.append(x)
-                return super().f_gap(x)
+                return super().eval_grad(x)
 
         p = FromOnes()
         alpha, b = 1.0 / 12.0, 8
@@ -87,7 +88,7 @@ class TestNaqgdStep:
             def eval_f(self, x):
                 return 0.0
 
-            def eval_noisy_grad(self, x, t):
+            def eval_noisy_grad(self, x, t, grad):
                 return np.array([3.0])
 
             def eval_grad(self, x):
@@ -146,8 +147,55 @@ class TestRun:
 
     def test_r0_below_initial_gradient_rejected(self):
         p = make_quadratic(3, 5.0, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"R0 = 1e-06 below \|\|grad\(x0\)\|\| = "):
             run("aqgd", p, scalar_spec(3, 4), 1 / (6 * p.L), 1e-6, 10)
+
+    @pytest.mark.parametrize("loop_kind", ["aqgd", "naqgd"])
+    def test_one_gradient_product_per_record(self, monkeypatch, loop_kind):
+        calls = {"grad": 0}
+        real_grad = QuadraticProblem.eval_grad
+
+        def counted(self, x):
+            calls["grad"] += 1
+            return real_grad(self, x)
+
+        def no_gap(self, x):
+            raise AssertionError("the loop takes its gap from gap_and_grad")
+
+        p = make_quadratic(5, 30.0, seed=2)
+        R0 = np.linalg.norm(p.eval_grad(p.x0())) * 1.1 + 0.01
+        eps = np.full(42, 0.01)
+        oracle = PerturbedOracle(p, eps, seed=1) if loop_kind == "naqgd" else p
+        monkeypatch.setattr(QuadraticProblem, "eval_grad", counted)
+        monkeypatch.setattr(GradOracle, "f_gap", no_gap)
+        trace = run(loop_kind, oracle, scalar_spec(5, 5), 1 / (6 * p.L), R0, 40,
+                    eps_schedule=eps)
+        assert len(trace) == 41
+        assert calls["grad"] == 41
+
+    def test_quadratic_gap_from_gradient_on_net_run(self, monkeypatch):
+        # the gap 0.5 (x-x*)'g agrees with 0.5 r'Hr down to round-off
+        seen = []
+        real_grad = QuadraticProblem.eval_grad
+
+        def recording(self, x):
+            seen.append((self, np.array(x)))
+            return real_grad(self, x)
+
+        monkeypatch.setattr(QuadraticProblem, "eval_grad", recording)
+        cfg = ExperimentConfig(problem="quadratic", d=3, kappa=10.0, quantizer="net",
+                               T=1500, seed=4)
+        trace, _ = run_experiment(cfg)
+        # the set-up's R0 evaluation, then one per record
+        assert len(seen) == cfg.T + 2
+        p = seen[0][0]
+        gaps = trace.f_gap
+        assert np.all(gaps >= 0.0)
+        ref = np.array([0.5 * (x - p.xstar).dot(p.H).dot(x - p.xstar)
+                        for _, x in seen[1:]])
+        deep = gaps > 1e-12 * gaps[0]
+        assert deep.sum() > 100
+        assert np.all(np.abs(gaps[deep] - ref[deep]) <= 1e-9 * ref[deep])
 
     def test_divergence_guard(self):
         p = make_quadratic(4, 10.0, seed=3)

@@ -10,6 +10,24 @@ class TestMakeQuadratic:
         p = make_quadratic(5, 1.0, seed=0)
         assert np.array_equal(p.H, np.eye(5))
 
+    @pytest.mark.parametrize("d", [3, 5, 20])
+    def test_matrix_and_vector_bit_identical_to_diagonal_product(self, d):
+        # H = sym((Q * lam) Q') equals sym(Q diag(lam) Q') bit for bit,
+        # and so does c = H x*
+        for seed in range(1, 6):
+            rng = np.random.default_rng(seed)
+            lam = np.exp(rng.uniform(0.0, np.log(100.0), size=d))
+            lam.sort()
+            lam[0], lam[-1] = 1.0, 100.0
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            H = Q @ np.diag(lam) @ Q.T
+            H = 0.5 * (H + H.T)
+            xstar = rng.standard_normal(d)
+            xstar /= np.linalg.norm(xstar)
+            p = make_quadratic(d, 100.0, seed=seed)
+            assert np.array_equal(p.H, H)
+            assert np.array_equal(p.c, H @ xstar)
+
     def test_exact_spectrum_endpoints(self):
         p = make_quadratic(2, 4.0, seed=1)
         eigs = np.linalg.eigvalsh(p.H)
@@ -115,7 +133,7 @@ class TestPerturbedOracle:
         orc = PerturbedOracle(p, eps, seed=3)
         x = np.ones(5)
         for t in range(3):
-            diff = orc.eval_noisy_grad(x, t) - p.eval_grad(x)
+            diff = orc.eval_noisy_grad(x, t, p.eval_grad(x)) - p.eval_grad(x)
             assert np.linalg.norm(diff) == pytest.approx(eps[t], rel=1e-12)
 
     def test_exact_passthrough(self):
