@@ -6,13 +6,13 @@ from .errors import (AqgdError, ConfigError, Divergence, NoConvergence,
                      NotSchurStable, Overflow, Unstabilizing)
 from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
 from .lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
-                  PolicyVecAdapter, calibrate_noise, constants_for,
-                  dare_optimum, estimate_gradient, estimate_local_smoothness,
-                  lqr_cost, lqr_grad, random_stable_instance, rollout)
-from .optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
-                       potential, rate_threshold_b, run)
+                  calibrate_noise, constants_for, dare_optimum,
+                  estimate_gradient, estimate_local_smoothness, lqr_cost,
+                  lqr_grad, random_stable_instance)
+from .optimize import (GradOracle, RunTrace, default_alpha, potential,
+                       rate_threshold_b, run)
 from .problems import (PerturbedOracle, QuadraticProblem, SineBowl,
-                       check_gradient_domination, make_quadratic)
+                       make_quadratic)
 from .quantize import (CodeFrame, QuantizerSpec, build_net, decode, encode,
                        pack_bits, scalar_spec, unpack_bits)
 

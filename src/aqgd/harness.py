@@ -12,12 +12,13 @@ import numpy as np
 
 from . import lqr as lqr_mod
 from .errors import AqgdError, ConfigError
-from .optimize import RunTrace, default_alpha, rate_threshold_b, run
+from .optimize import (LOOP_KINDS, RunTrace, default_alpha, rate_threshold_b,
+                       run)
 from .problems import PerturbedOracle, SineBowl, make_quadratic
-from .quantize import QuantizerSpec, build_net, encode, scalar_spec
+from .quantize import build_net, scalar_spec
 
 PROBLEM_KINDS = ("quadratic", "lqr-exact", "lqr-modelfree", "pl-nonconvex")
-ALGORITHMS = ("aqgd", "naqgd", "gd-unquantized", "gd-static-quantized")
+ALGORITHMS = LOOP_KINDS  # optimize.run runs each algorithm, baselines included
 NOISE_MODES = ("empirical", "manual")
 
 
@@ -126,7 +127,7 @@ def _build_problem(cfg: ExperimentConfig):
         # the worst-case smoothness constant is far too conservative to
         # drive the range recursion at experiment scale; measure the
         # local one around the initial gain instead
-        K0 = oracle.adapter.to_mat(oracle.x0())
+        K0 = np.zeros((sys.m, sys.n))
         radius = 0.5 * min(oracle.D, 1.0)
         oracle.L = lqr_mod.estimate_local_smoothness(sys, K0, radius, seed=seed)
         if est is not None:
@@ -161,57 +162,6 @@ def _build_problem(cfg: ExperimentConfig):
         if eps_schedule is not None:
             R0 += eps_schedule[0]
     return oracle, quant, alpha, R0, eps_schedule, extras
-
-
-def _run_gd(oracle, alpha: float, T: int) -> RunTrace:
-    """Plain unquantized gradient descent, traced in the same format."""
-    x = oracle.x0()
-    n = T + 1
-    f_gap = np.empty(n)
-    grad_norm = np.empty(n)
-    for t in range(n):
-        f_gap[t], g = oracle.gap_and_grad(x)
-        grad_norm[t] = float(np.linalg.norm(g))
-        if t < T:
-            x = x - alpha * g
-    zeros = np.zeros(n)
-    return RunTrace(f_gap=f_gap, grad_norm=grad_norm, R=zeros,
-                    innov_norm=np.full(n, np.nan), e_norm=np.full(n, np.nan),
-                    V=f_gap.copy(), bits=np.zeros(n, dtype=np.int64),
-                    mode="gd-unquantized")
-
-
-def _run_static_quantized(oracle, quant: QuantizerSpec, alpha: float,
-                          R0: float, T: int) -> RunTrace:
-    """Negative control: innovation coding with a frozen range R0."""
-    x = oracle.x0()
-    g_hat = np.zeros(oracle.d)
-    n = T + 1
-    f_gap = np.empty(n)
-    grad_norm = np.empty(n)
-    innov = np.full(n, np.nan)
-    e_norm = np.full(n, np.nan)
-    bits = np.zeros(n, dtype=np.int64)
-    sent = 0
-    for t in range(n):
-        f_gap[t], grad = oracle.gap_and_grad(x)
-        grad_norm[t] = float(np.linalg.norm(grad))
-        bits[t] = sent
-        if t == T:
-            break
-        i = grad - g_hat
-        nrm = float(np.linalg.norm(i))
-        innov[t] = nrm
-        if nrm > R0:  # saturate instead of overflowing: clip to the ball
-            i = i * (R0 / nrm)
-        frame, ihat = encode(quant, i, R0)
-        g_hat = g_hat + ihat
-        e_norm[t] = float(np.linalg.norm(grad - g_hat))
-        sent += frame.bit_len
-        x = x - alpha * g_hat
-    return RunTrace(f_gap=f_gap, grad_norm=grad_norm, R=np.full(n, R0),
-                    innov_norm=innov, e_norm=e_norm, V=f_gap.copy(), bits=bits,
-                    mode="gd-static-quantized")
 
 
 @dataclass
@@ -254,13 +204,7 @@ def run_experiment(cfg: ExperimentConfig):
     the CSV trace when cfg.out is set."""
     cfg.validate()
     oracle, quant, alpha, R0, eps, extras = _build_problem(cfg)
-    if cfg.algorithm == "gd-unquantized":
-        trace = _run_gd(oracle, alpha, cfg.T)
-    elif cfg.algorithm == "gd-static-quantized":
-        trace = _run_static_quantized(oracle, quant, alpha, R0, cfg.T)
-    else:
-        trace = run(cfg.algorithm, oracle, quant, alpha, R0, cfg.T,
-                    eps_schedule=eps)
+    trace = run(cfg.algorithm, oracle, quant, alpha, R0, cfg.T, eps_schedule=eps)
     # the geometric potential contraction is certified only at the
     # reference step size 1/(6L), which is what a defaulted alpha uses
     kappa = extras.get("kappa") if trace.mode == "aqgd" and cfg.alpha == 0 else None

@@ -49,7 +49,6 @@ class LyapunovSolution:
     """Fixed point of X = W + M^T X M (or its transpose twin)."""
 
     P: np.ndarray
-    residual: float
     iterations: int
 
 
@@ -106,7 +105,7 @@ def solve_discrete_lyapunov(M, W, transpose: bool = False) -> LyapunovSolution:
                 f"Lyapunov residual {residual:.3g} above tolerance {tol:.3g} "
                 f"after {it} doublings"
             )
-    return LyapunovSolution(P=X, residual=residual, iterations=it)
+    return LyapunovSolution(P=X, iterations=it)
 
 
 def solve_dare(A, B, Q, R, Sigma_w=None):

@@ -1,8 +1,8 @@
 """Discrete-time LQR: exact cost/gradient via Lyapunov solves, policy
-smoothness/domination constants, trajectory simulation, the perturbed
-single-trajectory gradient estimator, and empirical calibration of its
-error bound and of the local smoothness.  A vector adapter exposes
-policies to the generic optimizer.
+smoothness/domination constants, the perturbed single-trajectory
+gradient estimator, and empirical calibration of its error bound and of
+the local smoothness.  LqrOracle exposes policies to the generic
+optimizer as column-major vectors.
 """
 
 from __future__ import annotations
@@ -212,31 +212,6 @@ def constants_for(sys: LtiSystem) -> LqrConstants:
 
 
 @dataclass(frozen=True)
-class PolicyVecAdapter:
-    """Column-major bijection between m x n gain matrices and mn-vectors;
-    Frobenius norm maps to Euclidean norm exactly."""
-
-    m: int
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return self.m * self.n
-
-    def to_vec(self, K) -> np.ndarray:
-        K = np.asarray(K, dtype=float)
-        if K.shape != (self.m, self.n):
-            raise ValueError(f"expected {(self.m, self.n)} gain, got {K.shape}")
-        return K.reshape(-1, order="F").copy()
-
-    def to_mat(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise ValueError(f"expected length-{self.dim} vector, got {v.shape}")
-        return v.reshape((self.m, self.n), order="F").copy()
-
-
-@dataclass(frozen=True)
 class EstimatorConfig:
     """Perturbed-trajectory gradient estimator settings: ell trajectories
     of length N, perturbation radius r, base seed for the per-trajectory
@@ -261,34 +236,6 @@ def _noise_chol(sys: LtiSystem) -> np.ndarray | None:
     lam, V = np.linalg.eigh(sys.Sigma_w)
     lam = np.clip(lam, 0.0, None)
     return V * np.sqrt(lam)
-
-
-def rollout(sys: LtiSystem, K_play, N: int, rng: np.random.Generator):
-    """Simulate N steps from x0 = 0 under u_k = K_play x_k.
-
-    Returns (states, inputs, cost_sum) with states of shape (N+1, n),
-    inputs of shape (N, m), and cost_sum the total stage cost over
-    k = 0..N-1.  Aborts if the state norm exceeds 1e12.
-    """
-    K_play = np.atleast_2d(np.asarray(K_play, dtype=float))
-    n, m = sys.n, sys.m
-    C = _noise_chol(sys)
-    states = np.zeros((N + 1, n))
-    inputs = np.zeros((N, m))
-    x = np.zeros(n)
-    cost = 0.0
-    for k in range(N):
-        u = K_play @ x
-        inputs[k] = u
-        cost += float(x @ sys.Q @ x + u @ sys.R @ u)
-        w = C @ rng.standard_normal(n) if C is not None else 0.0
-        x = sys.A @ x + sys.B @ u + w
-        if np.linalg.norm(x) > STATE_BLOWUP:
-            raise Unstabilizing(
-                f"state norm exceeded {STATE_BLOWUP:.0e} at step {k + 1}"
-            )
-        states[k + 1] = x
-    return states, inputs, cost
 
 
 def _perturbations(sys: LtiSystem, cfg: EstimatorConfig, t: int):
@@ -410,8 +357,9 @@ def calibrate_noise(sys: LtiSystem, K0, cfg: EstimatorConfig,
 
 
 class LqrOracle(GradOracle):
-    """Vector-space view of the policy-gradient problem over vec(K),
-    started from K0 = 0.
+    """Vector-space view of the policy-gradient problem over the
+    column-major vec(K), started from K0 = 0; the Frobenius norm of K is
+    the Euclidean norm of vec(K).
 
     Every oracle serves analytic gradients; one given an EstimatorConfig
     also serves perturbed-trajectory estimates as noisy gradients (keyed
@@ -422,8 +370,7 @@ class LqrOracle(GradOracle):
     def __init__(self, sys: LtiSystem, cfg: EstimatorConfig | None = None):
         self.sys = sys
         self.cfg = cfg
-        self.adapter = PolicyVecAdapter(sys.m, sys.n)
-        self.d = self.adapter.dim
+        self.d = sys.m * sys.n
         consts = constants_for(sys)
         self.L = consts.L
         self.mu = consts.mu
@@ -432,24 +379,28 @@ class LqrOracle(GradOracle):
         _, _, Jstar = dare_optimum(sys)
         self.f_star = Jstar
 
+    def _mat(self, x) -> np.ndarray:
+        # a C-ordered copy, so the products see K in its usual memory layout
+        return np.reshape(x, (self.sys.m, self.sys.n), order="F").copy()
+
     def _solves(self, x):
-        return _closed_loop_solves(self.sys, self.adapter.to_mat(x))
+        return _closed_loop_solves(self.sys, self._mat(x))
 
     def eval_f(self, x) -> float:
         return _cost(self.sys, *self._solves(x))
 
     def eval_grad(self, x) -> np.ndarray:
-        return self.adapter.to_vec(_grad(self.sys, *self._solves(x)))
+        return _grad(self.sys, *self._solves(x)).reshape(-1, order="F")
 
     def gap_and_grad(self, x) -> tuple[float, np.ndarray]:
         solves = self._solves(x)
         return (_cost(self.sys, *solves) - self.f_star,
-                self.adapter.to_vec(_grad(self.sys, *solves)))
+                _grad(self.sys, *solves).reshape(-1, order="F"))
 
     def eval_noisy_grad(self, x, t: int, grad: np.ndarray) -> np.ndarray:
         """The perturbed-trajectory estimate at x; the exact ``grad`` is unused."""
         if self.cfg is None:
             raise NotImplementedError("an oracle without an EstimatorConfig "
                                       "has no noisy gradient")
-        K = self.adapter.to_mat(x)
-        return self.adapter.to_vec(estimate_gradient(self.sys, K, self.cfg, t=t))
+        K = self._mat(x)
+        return estimate_gradient(self.sys, K, self.cfg, t=t).reshape(-1, order="F")

@@ -1,4 +1,5 @@
-"""The adaptively quantized descent loop and its noisy-gradient variant.
+"""The adaptively quantized descent loop, its noisy-gradient variant,
+and the unquantized and static-range baselines that share it.
 
 The worker (which evaluates gradients and encodes innovations) and the
 server (which decodes, steps the iterate, and updates the quantizer
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Divergence
+from .errors import ConfigError, Divergence
 from .quantize import QuantizerSpec, decode, encode
 
 DIVERGENCE_FACTOR = 1e6
+LOOP_KINDS = ("aqgd", "naqgd", "gd-unquantized", "gd-static-quantized")
 
 
 class GradOracle:
@@ -124,27 +126,16 @@ def potential(alpha: float, f_gap: float, R: float, mode: str = "aqgd",
 
     Exact mode: V_t = z_t + alpha R_t^2.  Noisy mode adds the lagged gap
     and uses the lagged range, V_t = z_t + z_{t-1} + alpha R_{t-1}^2,
-    with z_{-1} = R_{-1} = 0 so V_0 = z_0.
+    with z_{-1} = R_{-1} = 0 so V_0 = z_0.  The baselines have no range
+    recursion to certify: their V_t is z_t.
     """
     if mode == "aqgd":
         return f_gap + alpha * R * R
     if mode == "naqgd":
         return f_gap + prev_f_gap + alpha * prev_R * prev_R
+    if mode in ("gd-unquantized", "gd-static-quantized"):
+        return f_gap
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def bar_epsilon_sq(eps, t: int, alpha: float, mu: float) -> float:
-    """Aggregate noise level: max over s <= t of
-    (1 - alpha mu / 3)^(t-s) (8 eps_{s-1}^2 + 6 eps_s^2), eps_{-1} = 0."""
-    rho = 1.0 - alpha * mu / 3.0
-    if not (0.0 < rho < 1.0):
-        raise ValueError("need 0 < alpha*mu/3 < 1")
-    best = 0.0
-    for s in range(t + 1):
-        prev = eps[s - 1] if s >= 1 else 0.0
-        val = rho ** (t - s) * (8.0 * prev * prev + 6.0 * eps[s] * eps[s])
-        best = max(best, val)
-    return best
 
 
 def rate_threshold_b(d: int, kappa: float) -> int:
@@ -169,6 +160,20 @@ def default_alpha(oracle: GradOracle) -> float:
     return 1.0 / (6.0 * oracle.L)
 
 
+def _onto_ball(v: np.ndarray, nrm: float, R: float) -> np.ndarray:
+    """v, of norm nrm > R, scaled onto the ball of radius R.
+
+    The scaled vector's norm can round above R; the scale then steps down
+    one ulp at a time until encode's own test, sqrt(v.v) <= R, holds.
+    """
+    scale = R / nrm
+    out = v * scale
+    while _norm(out) > R:
+        scale = math.nextafter(scale, 0.0)
+        out = v * scale
+    return out
+
+
 def run(
     loop_kind: str,
     oracle: GradOracle,
@@ -178,23 +183,31 @@ def run(
     T: int,
     eps_schedule=None,
 ) -> RunTrace:
-    """Run T steps of AQGD or NAQGD and return the populated trace.
+    """Run T steps of one of the LOOP_KINDS and return the populated trace.
 
-    Each step encodes the gradient innovation, decodes it, descends by
-    x <- x - alpha g and updates the range by R <- gamma R + alpha L ||g||,
-    plus eps_t + eps_{t+1} under NAQGD.
+    Under AQGD and NAQGD each step encodes the gradient innovation,
+    decodes it, descends by x <- x - alpha g and updates the range by
+    R <- gamma R + alpha L ||g||, plus eps_t + eps_{t+1} under NAQGD.  The
+    two baselines take the same steps without the range recursion:
+    ``gd-static-quantized`` codes the innovation against the frozen range
+    R0, scaled onto the ball when it lies outside, and ``gd-unquantized``
+    sends no frames and descends along the exact gradient, tracing R = 0,
+    no bits and NaN innovation and error norms.
 
     The trace has T + 1 records, and the oracle is evaluated once per
     record: ``gap_and_grad`` gives the traced gap and the exact gradient,
-    against which the gradient norm and the estimate error are traced in
-    both loops.  Under AQGD, R0 below the first gradient's norm raises
-    ValueError.  NAQGD descends along ``eval_noisy_grad``, given the exact
-    gradient, and requires ``eps_schedule`` with at least T + 1 entries
-    (the range update at step t reads eps_t and eps_{t+1}).
+    against which the gradient norm and the estimate error are traced.
+    Under AQGD, R0 below the first gradient's norm raises ConfigError.
+    NAQGD descends along ``eval_noisy_grad``, given the exact gradient,
+    and requires ``eps_schedule`` with at least T + 1 entries (the range
+    update at step t reads eps_t and eps_{t+1}).
     """
-    if loop_kind not in ("aqgd", "naqgd"):
+    if loop_kind not in LOOP_KINDS:
         raise ValueError(f"unknown loop kind {loop_kind!r}")
     noisy = loop_kind == "naqgd"
+    adaptive = noisy or loop_kind == "aqgd"
+    coded = loop_kind != "gd-unquantized"
+    clip = loop_kind == "gd-static-quantized"
     if noisy:
         if eps_schedule is None or len(eps_schedule) < T + 1:
             raise ValueError("naqgd needs an eps schedule of length >= T + 1")
@@ -207,8 +220,9 @@ def run(
     L, alpha, gamma = oracle.L, float(alpha), float(quant.gamma)
     # the worker's and the server's copies of the gradient estimate and
     # the range; only the frames pass between them
-    g_w, R_w = np.zeros(oracle.d), float(R0)
-    g_s, R_s = np.zeros(oracle.d), float(R0)
+    R0 = float(R0) if coded else 0.0
+    g_w, R_w = np.zeros(oracle.d), R0
+    g_s, R_s = np.zeros(oracle.d), R0
     sent = 0
 
     n = T + 1
@@ -224,19 +238,16 @@ def run(
     prev_R = 0.0
     for t in range(n):
         gap, grad_true = oracle.gap_and_grad(x)
-        if t == 0 and not noisy:
-            g0 = float(np.linalg.norm(grad_true))
-            if g0 > R0:
-                raise ValueError(f"R0 = {R0:.6g} below ||grad(x0)|| = {g0:.6g}")
         f_gap[t] = gap
         grad_norm[t] = _norm(grad_true)
         Rs[t] = R_s
         bits[t] = sent
         V[t] = potential(alpha, gap, R_s, loop_kind, prev_gap, prev_R)
-        if t == 0 and gap != 0.0:
-            guard = DIVERGENCE_FACTOR * abs(gap)
-        elif t == 0:
-            guard = DIVERGENCE_FACTOR
+        if t == 0:
+            if loop_kind == "aqgd" and grad_norm[0] > R0:
+                raise ConfigError(
+                    f"R0 = {R0:.6g} below ||grad(x0)|| = {grad_norm[0]:.6g}")
+            guard = DIVERGENCE_FACTOR * (abs(gap) if gap != 0.0 else 1.0)
         if gap > guard:
             raise Divergence(
                 f"f-gap {gap:.3g} exceeded {DIVERGENCE_FACTOR:.1g}x its "
@@ -251,20 +262,27 @@ def run(
             eps_t, eps_next = eps_schedule[t], eps_schedule[t + 1]
         else:
             grad, eps_t, eps_next = grad_true, 0.0, 0.0
-        # worker side: innovation against its own copy of the estimate
-        innovation = grad - g_w
-        frame, ihat_w = encode(quant, innovation, R_w)
-        g_w = g_w + ihat_w
-        R_w = gamma * R_w + alpha * L * _norm(g_w) + eps_t + eps_next
-        # server side: everything derives from the frame and shared parameters
-        g_s = g_s + decode(quant, frame, R_s)
+        if not coded:
+            g_s = grad
+        else:
+            # worker side: innovation against its own copy of the estimate
+            innovation = grad - g_w
+            i_norm = _norm(innovation)
+            if clip and i_norm > R_w:  # saturate instead of overflowing
+                innovation = _onto_ball(innovation, i_norm, R_w)
+            frame, ihat_w = encode(quant, innovation, R_w)
+            g_w = g_w + ihat_w
+            # server side: everything derives from the frame and shared parameters
+            g_s = g_s + decode(quant, frame, R_s)
+            if adaptive:
+                R_w = gamma * R_w + alpha * L * _norm(g_w) + eps_t + eps_next
+                R_s = gamma * R_s + alpha * L * _norm(g_s) + eps_t + eps_next
+            if np.count_nonzero(g_w != g_s) or R_w != R_s:
+                raise AssertionError("worker/server state diverged (decoding symmetry broken)")
+            sent += frame.bit_len
+            innov[t] = i_norm
+            e_norm[t] = _norm(grad_true - g_s)
         x = x - alpha * g_s
-        R_s = gamma * R_s + alpha * L * _norm(g_s) + eps_t + eps_next
-        if np.count_nonzero(g_w != g_s) or R_w != R_s:
-            raise AssertionError("worker/server state diverged (decoding symmetry broken)")
-        sent += frame.bit_len
-        innov[t] = _norm(innovation)
-        e_norm[t] = _norm(grad_true - g_s)
     return RunTrace(
         f_gap=f_gap, grad_norm=grad_norm, R=Rs, innov_norm=innov,
         e_norm=e_norm, V=V, bits=bits, mode=loop_kind,

@@ -98,24 +98,6 @@ class SineBowl(GradOracle):
         return 2.0 * x + 3.0 * np.sin(2.0 * x)
 
 
-def check_gradient_domination(oracle: GradOracle, mu: float,
-                              samples: int = 10_000, sampler=None,
-                              seed: int = 0) -> float:
-    """Fraction of sampled points satisfying
-    ||grad f(x)||^2 >= 2 mu (f(x) - f*)."""
-    rng = np.random.default_rng(seed)
-    if sampler is None:
-        sampler = lambda: rng.standard_normal(oracle.d) * 3.0
-    passed = 0
-    for _ in range(samples):
-        x = sampler()
-        g2 = float(np.sum(oracle.eval_grad(x) ** 2))
-        gap = oracle.eval_f(x) - oracle.f_star
-        if g2 >= 2.0 * mu * gap - 1e-12:
-            passed += 1
-    return passed / samples
-
-
 class PerturbedOracle(GradOracle):
     """Wraps an exact oracle; noisy gradients are grad + eps_t * u with a
     fixed seeded unit direction u, so the noise magnitude exactly matches

@@ -11,6 +11,7 @@ from aqgd.harness import (ExperimentConfig, RateFit, emit_plot_data,
                           fit_rate, parse_config, run_experiment, run_repeats,
                           write_quantiles)
 from aqgd.optimize import RunTrace
+from aqgd.problems import make_quadratic
 
 
 def write_config(path, text):
@@ -195,6 +196,50 @@ class TestRepeatsAndOutput:
         assert "plot.dat" in (tmp_path / "plot.gnuplot").read_text()
 
 
+class TestBaselineTrace:
+    """The columns the two baselines document, written by ``aqgd run``."""
+
+    T = 60
+
+    def run_cli(self, tmp_path, algorithm, quantizer):
+        cfg = write_config(tmp_path / "b.cfg",
+                           f"problem = quadratic\nalgorithm = {algorithm}\n"
+                           f"quantizer = {quantizer}\nd = 3\nkappa = 10\n"
+                           f"R0 = 3.0\nT = {self.T}\n")
+        out = tmp_path / "b.csv"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        return RunTrace.from_csv(out)
+
+    @pytest.mark.parametrize("quantizer", ["scalar", "net"])
+    def test_unquantized_columns(self, tmp_path, quantizer):
+        tr = self.run_cli(tmp_path, "gd-unquantized", quantizer)
+        assert np.all(tr.R == 0.0) and np.all(tr.bits == 0)
+        assert np.all(np.isnan(tr.innov_norm)) and np.all(np.isnan(tr.e_norm))
+        assert np.array_equal(tr.V, tr.f_gap)
+
+    @pytest.mark.parametrize("quantizer", ["scalar", "net"])
+    def test_static_columns(self, tmp_path, quantizer):
+        tr = self.run_cli(tmp_path, "gd-static-quantized", quantizer)
+        assert np.all(tr.R == 3.0)
+        assert np.array_equal(tr.V, tr.f_gap)
+        steps = np.diff(tr.bits)
+        assert steps[0] > 0 and np.all(steps == steps[0])
+        assert np.all(np.isfinite(tr.innov_norm[:-1]))
+        assert np.all(np.isfinite(tr.e_norm[:-1]))
+
+    def test_unquantized_is_plain_gradient_descent(self, tmp_path):
+        tr = self.run_cli(tmp_path, "gd-unquantized", "scalar")
+        p = make_quadratic(3, 10.0, seed=0)
+        x, gaps, norms = p.x0(), [], []
+        for _ in range(self.T + 1):
+            gap, g = p.gap_and_grad(x)
+            gaps.append(gap)
+            norms.append(np.linalg.norm(g))
+            x = x - 1 / (6 * p.L) * g
+        assert np.array_equal(tr.f_gap, gaps)
+        assert np.array_equal(tr.grad_norm, norms)
+
+
 class TestCli:
     def test_gen_instance_and_lqr_run(self, tmp_path, capsys):
         inst = tmp_path / "sys.txt"
@@ -276,6 +321,25 @@ class TestCli:
         cfg.write_text("problem = quadratic\nd = 6\nkappa = 20\n"
                        "alpha = 10.0\nT = 200\n")
         assert main(["run", str(cfg)]) == 3
+
+    def test_unquantized_divergence_exit_code(self, tmp_path, capsys):
+        # the baseline shares the descent loop's divergence guard, so a
+        # step far above 2/L stops instead of tracing NaN gaps
+        cfg = write_config(tmp_path / "div.cfg",
+                           "problem = quadratic\nalgorithm = gd-unquantized\n"
+                           "d = 6\nkappa = 10\nalpha = 1.0\nT = 1000\n")
+        assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: ") and err.count("\n") == 1
+
+    def test_r0_below_initial_gradient_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "r0.cfg",
+                           "problem = quadratic\nd = 20\nkappa = 100\n"
+                           "R0 = 0.01\nT = 50\n")
+        assert main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: R0 = 0.01 below ||grad(x0)|| = ")
+        assert err.count("\n") == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the quantizer range shrinks to the floating-point floor and the

@@ -9,12 +9,17 @@ import aqgd.lqr
 from aqgd.errors import Unstabilizing
 from aqgd.linalg import spectral_radius
 from aqgd.lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
-                      PolicyVecAdapter, calibrate_noise, constants_for,
-                      dare_optimum, estimate_gradient,
-                      estimate_local_smoothness, lqr_cost, lqr_grad,
-                      random_stable_instance, rollout)
+                      calibrate_noise, constants_for, dare_optimum,
+                      estimate_gradient, estimate_local_smoothness, lqr_cost,
+                      lqr_grad, random_stable_instance)
 from aqgd.optimize import run
 from aqgd.quantize import scalar_spec
+from reference import rollout
+
+
+def vec(K):
+    """The column-major vec(K) through which LqrOracle reads a gain."""
+    return np.asarray(K, dtype=float).reshape(-1, order="F")
 
 
 def scalar_system():
@@ -169,21 +174,6 @@ class TestConstants:
                 assert np.linalg.norm(M, 2) <= c.zeta * c.eta**k + 1e-12
                 M = Acl @ M
         assert tried >= 5
-
-
-class TestAdapter:
-    def test_roundtrip_and_isometry(self):
-        ad = PolicyVecAdapter(3, 5)
-        rng = np.random.default_rng(11)
-        K = rng.standard_normal((3, 5))
-        v = ad.to_vec(K)
-        assert np.array_equal(ad.to_mat(v), K)
-        assert np.linalg.norm(v) == np.linalg.norm(K)
-
-    def test_column_major_layout(self):
-        ad = PolicyVecAdapter(2, 2)
-        K = np.array([[1.0, 3.0], [2.0, 4.0]])
-        assert np.array_equal(ad.to_vec(K), [1.0, 2.0, 3.0, 4.0])
 
 
 class TestRollout:
@@ -423,13 +413,34 @@ class TestOracle:
         rng = np.random.default_rng(20)
         for scale in (0.0, 0.01, 0.05, 0.1):
             x = orc.x0() + scale * rng.standard_normal(orc.d)
-            K = orc.adapter.to_mat(x)
-            assert np.array_equal(orc.eval_grad(x),
-                                  orc.adapter.to_vec(lqr_grad(sys, K)))
+            K = x.reshape((2, 3), order="F").copy()
+            assert np.array_equal(orc.eval_grad(x), vec(lqr_grad(sys, K)))
             assert orc.eval_f(x) == lqr_cost(sys, K)
         # without an EstimatorConfig there is no noisy gradient
         with pytest.raises(NotImplementedError):
             orc.eval_noisy_grad(orc.x0(), 0, orc.eval_grad(orc.x0()))
+
+    def test_vec_roundtrip_and_isometry(self):
+        # the oracle reads x as the gain K with vec(K) = x, and its
+        # gradient folds back into lqr_grad's matrix with the same norm
+        sys = random_stable_instance(5, 3, seed=11)
+        orc = LqrOracle(sys)
+        K = 0.01 * np.random.default_rng(11).standard_normal((3, 5))
+        grad = orc.eval_grad(vec(K))
+        G = lqr_grad(sys, K)
+        assert orc.eval_f(vec(K)) == lqr_cost(sys, K)
+        assert np.array_equal(grad.reshape((3, 5), order="F"), G)
+        assert np.linalg.norm(grad) == np.linalg.norm(G)
+
+    def test_column_major_layout(self):
+        sys = random_stable_instance(2, 2, seed=12)
+        orc = LqrOracle(sys)
+        K = 0.01 * np.array([[1.0, 3.0], [2.0, 4.0]])
+        x = 0.01 * np.array([1.0, 2.0, 3.0, 4.0])
+        assert orc.eval_f(x) == lqr_cost(sys, K)
+        G = lqr_grad(sys, K)
+        assert np.array_equal(orc.eval_grad(x),
+                              [G[0, 0], G[1, 0], G[0, 1], G[1, 1]])
 
     def test_one_closed_loop_solve_per_iterate(self, monkeypatch):
         sys = random_stable_instance(4, 2, seed=23)
@@ -451,9 +462,9 @@ class TestOracle:
         x = orc.x0() + 0.01
         gap, grad = orc.gap_and_grad(x)
         assert calls == {"lyapunov": 2, "eig": 0}
-        K = orc.adapter.to_mat(x)
+        K = x.reshape((2, 4), order="F").copy()
         assert gap == lqr_cost(sys, K) - orc.f_star
-        assert np.array_equal(grad, orc.adapter.to_vec(lqr_grad(sys, K)))
+        assert np.array_equal(grad, vec(lqr_grad(sys, K)))
         # nothing is kept between calls: a repeat solves again
         calls.update(lyapunov=0)
         orc.gap_and_grad(x)
@@ -483,7 +494,7 @@ class TestOracle:
         orc = LqrOracle(sys)
         _, Kstar, Jstar = dare_optimum(sys)
         assert orc.f_star == Jstar
-        assert orc.f_gap(orc.adapter.to_vec(Kstar)) == pytest.approx(0.0, abs=1e-8)
+        assert orc.f_gap(vec(Kstar)) == pytest.approx(0.0, abs=1e-8)
 
     def test_unstabilizing_surfaces(self):
         sys = LtiSystem([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])

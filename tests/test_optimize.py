@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from aqgd import optimize
-from aqgd.errors import Divergence
+from aqgd.errors import ConfigError, Divergence
 from aqgd.harness import ExperimentConfig, run_experiment
-from aqgd.optimize import (GradOracle, RunTrace, bar_epsilon_sq, default_alpha,
-                           potential, rate_threshold_b, run)
+from aqgd.optimize import (GradOracle, RunTrace, default_alpha, potential,
+                           rate_threshold_b, run)
 from aqgd.problems import PerturbedOracle, QuadraticProblem, make_quadratic
 from aqgd.quantize import encode, scalar_spec
+from reference import bar_epsilon_sq
 
 
 class TestAqgdStep:
@@ -147,8 +148,36 @@ class TestRun:
 
     def test_r0_below_initial_gradient_rejected(self):
         p = make_quadratic(3, 5.0, seed=1)
-        with pytest.raises(ValueError, match=r"R0 = 1e-06 below \|\|grad\(x0\)\|\| = "):
+        with pytest.raises(ConfigError, match=r"R0 = 1e-06 below \|\|grad\(x0\)\|\| = "):
             run("aqgd", p, scalar_spec(3, 4), 1 / (6 * p.L), 1e-6, 10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("R0", [0.01, 0.5])
+    def test_static_range_saturates_below_initial_gradient(self, R0, seed):
+        # the first innovation is the whole gradient, far outside the
+        # ball, so the run clips from its first step and must not overflow
+        p = make_quadratic(20, 100.0, seed=seed)
+        assert np.linalg.norm(p.eval_grad(p.x0())) > R0
+        T = 200
+        trace = run("gd-static-quantized", p, scalar_spec(20, 4),
+                    1 / (6 * p.L), R0, T)
+        assert len(trace) == T + 1
+        assert np.all(trace.R == R0)
+        assert np.array_equal(trace.bits, 20 * 4 * np.arange(T + 1))
+        assert trace.innov_norm[0] > R0
+
+    def test_clip_lands_inside_the_ball(self):
+        # scaling by R / ||v|| rounds above R for about a fifth of the
+        # draws; the clip must pass the very test encode applies
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            v = rng.standard_normal(20) * rng.uniform(1.0, 10.0)
+            R = float(rng.uniform(0.01, 1.0))
+            nrm = math.sqrt(v.dot(v))
+            out = optimize._onto_ball(v, nrm, R)
+            assert math.sqrt(out.dot(out)) <= R
+            assert np.all(np.abs(out - v * (R / nrm)) <= 1e-15 * R)
+            encode(scalar_spec(20, 4), out, R)
 
     @pytest.mark.parametrize("loop_kind", ["aqgd", "naqgd"])
     def test_one_gradient_product_per_record(self, monkeypatch, loop_kind):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aqgd.problems import (PerturbedOracle, QuadraticProblem, SineBowl,
-                           check_gradient_domination, make_quadratic)
+                           make_quadratic)
+from reference import check_gradient_domination
 
 
 class TestMakeQuadratic:
