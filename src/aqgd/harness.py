@@ -57,7 +57,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         if self.T < 0:
             raise ConfigError("T must be non-negative")
-        if self.problem == "lqr-modelfree" and self.algorithm == "aqgd":
+        if self.problem == "lqr-modelfree" and self.algorithm != "naqgd":
+            # aqgd assumes exact gradients, and the baselines would descend
+            # along them: only naqgd reads the model-free estimates
             raise ConfigError("model-free gradients require the naqgd algorithm")
         if self.algorithm == "naqgd" and self.problem != "lqr-modelfree" \
                 and self.noise_mode != "manual":

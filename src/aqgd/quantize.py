@@ -5,7 +5,8 @@ The worker and the server share only the frame and the range R.
 reconstruction, and :func:`decode` rebuilds that reconstruction
 bit-identically from the frame and the shared (spec, R).  Two quantizer
 families are provided: a per-component uniform scalar quantizer over
-[-R, R] and a codebook quantizer built from a covering of the unit ball.
+[-R, R] and a codebook quantizer built from a lattice covering of the
+unit ball.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Overflow
+from .errors import ConfigError, Overflow
 
-# build_net refuses a codebook size bound (2/gamma + 1)^d above this
-NET_CAP = 200_000
+# build_net refuses to enumerate more candidate lattice points than this
+NET_MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,10 @@ class QuantizerSpec:
     """Parameters of a range-scaled quantizer map.
 
     ``family`` is "scalar" (per-component, ``b`` bits each) or "net"
-    (codebook over the unit ball).  ``gamma`` is the worst-case relative
-    error: sqrt(d)/2**b for the scalar family, the covering radius for
-    the net family.
+    (lattice codebook covering the unit ball).  ``gamma`` is the
+    worst-case relative error: sqrt(d)/2**b for the scalar family, the
+    covering radius for the net family.  A net reconstruction can have
+    norm up to (1 + gamma) R, while its error stays <= gamma R.
     """
 
     family: str
@@ -90,74 +92,43 @@ def scalar_spec(d: int, b: int) -> QuantizerSpec:
     return QuantizerSpec(family="scalar", d=d, b=b, gamma=math.sqrt(d) / 2.0**b)
 
 
-def _sample_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """n points uniform in the closed unit ball."""
-    g = rng.standard_normal((n, d))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    radii = rng.random(n) ** (1.0 / d)
-    return g * radii[:, None]
-
-
-def _uncovered(points: np.ndarray, centers: np.ndarray, gamma: float) -> np.ndarray:
-    """Min distance from each point to the center set, as a coverage mask."""
-    d2 = np.sum(points**2, axis=1)[:, None] - 2.0 * points @ centers.T
-    d2 = d2 + np.sum(centers**2, axis=1)[None, :]
-    return np.sqrt(np.maximum(d2.min(axis=1), 0.0)) > gamma
-
-
 def build_net(d: int, gamma: float) -> QuantizerSpec:
-    """Greedy maximal gamma-packing of the unit ball (hence a gamma-cover).
+    """Codebook of a lattice gamma-cover of the unit ball.
 
-    Points are pairwise more than gamma apart, which bounds the codebook
-    size by (2/gamma + 1)**d; the covering property is verified at build
-    time by three consecutive clean rejection-sampling batches of 100 000
-    points.  Intended for d <= 6.
+    d = 3 uses D3* (body-centred cubic) with cube side a = 4 gamma/sqrt 5,
+    whose covering radius is a sqrt(5)/4; every other d uses Z^d with side
+    a = 2 gamma/sqrt d, radius a sqrt(d)/2 (Conway & Sloane, *Sphere
+    Packings, Lattices and Groups*).  Both radii equal gamma.  The codebook
+    is every lattice point of norm <= 1 + gamma: each x in the unit ball
+    has a lattice point within gamma, whose norm is then <= 1 + gamma, so
+    the nearest codeword is the nearest lattice point and the cover holds
+    by construction.  Codewords are sorted by norm, then coordinates, so
+    the origin comes first.  A build that would enumerate more than
+    NET_MAX_POINTS candidates raises ConfigError before allocating them.
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    bound = (2.0 / gamma + 1.0) ** d
-    if bound > NET_CAP:
-        raise ValueError(
-            f"codebook bound (2/gamma+1)^d = {bound:.3g} exceeds cap {NET_CAP}"
-        )
-    rng = np.random.default_rng(20240817)  # fixed: codebooks are reproducible
-    centers = [np.zeros(d)]
-
-    def grow(batch: np.ndarray) -> int:
-        """Farthest-point insertion of every batch point left uncovered."""
-        added = 0
-        C = np.array(centers)
-        dmin = np.full(len(batch), np.inf)
-        for c in C:
-            dmin = np.minimum(dmin, np.linalg.norm(batch - c, axis=1))
-        while True:
-            i = int(np.argmax(dmin))
-            if dmin[i] <= gamma:
-                return added
-            centers.append(batch[i].copy())
-            added += 1
-            dmin = np.minimum(dmin, np.linalg.norm(batch - batch[i], axis=1))
-
-    # growth phase: mix interior and boundary candidates
-    for _ in range(64):
-        batch = _sample_ball(rng, 4096, d)
-        sphere = rng.standard_normal((1024, d))
-        sphere /= np.maximum(np.linalg.norm(sphere, axis=1, keepdims=True), 1e-300)
-        if grow(np.vstack([batch, sphere])) == 0:
-            break
-    # confirmation phase: consecutive clean rejection-sampling batches
-    clean = 0
-    while clean < 3:
-        batch = _sample_ball(rng, 100_000, d)
-        mask = _uncovered(batch, np.array(centers), gamma)
-        if not mask.any():
-            clean += 1
-            continue
-        clean = 0
-        grow(batch[mask])
-    return QuantizerSpec(
-        family="net", d=d, gamma=gamma, codebook=np.array(centers)
-    )
+    # lattice points are h * n, n an integer vector whose entries all have
+    # the parity of one offset; h is half the cube side a
+    if d == 3:
+        h, offsets = 2.0 * gamma / math.sqrt(5.0), (0, 1)
+    else:
+        h, offsets = gamma / math.sqrt(d), (0,)
+    k = math.floor((1.0 + gamma) / h)  # |n_i| <= k in the box around the ball
+    axes = [np.arange(-k + (k - o) % 2, k + 1, 2) for o in offsets]
+    count = sum(len(ax) ** d for ax in axes)
+    if count > NET_MAX_POINTS:
+        raise ConfigError(
+            f"net quantizer at d = {d}, gamma = {gamma:.6g} would enumerate "
+            f"{count} lattice points, above the cap of {NET_MAX_POINTS}")
+    n = np.vstack([ax[np.indices((len(ax),) * d).reshape(d, -1).T]
+                   for ax in axes])
+    sq = np.einsum("ij,ij->i", n, n)
+    # the slack keeps a point on the sphere of radius 1 + gamma
+    keep = sq <= ((1.0 + gamma) / h) ** 2 * (1.0 + 1e-12)
+    n, sq = n[keep], sq[keep]
+    n = n[np.lexsort((*n.T[::-1], sq))]
+    return QuantizerSpec(family="net", d=d, gamma=gamma, codebook=h * n)
 
 
 def encode(spec: QuantizerSpec, x, R: float) -> tuple[CodeFrame, np.ndarray]:

@@ -292,13 +292,37 @@ class TestCli:
         "delta = 0.1\n",
         "problem = lqr-exact\nalgorithm = naqgd\nn = 3\nm = 2\nT = 20\n"
         "alpha = 1e-3\n",
+        "problem = lqr-modelfree\nalgorithm = gd-unquantized\n",
+        "problem = lqr-modelfree\nalgorithm = gd-static-quantized\n",
     ], ids=["problem=cubic", "noise_mode=theory", "delta=0.1",
-            "lqr-exact-naqgd-without-manual-noise"])
+            "lqr-exact-naqgd-without-manual-noise",
+            "lqr-modelfree-gd-unquantized", "lqr-modelfree-gd-static-quantized"])
     def test_config_error_exit_code(self, tmp_path, capsys, text):
         cfg = write_config(tmp_path / "bad.cfg", text)
         assert main(["run", cfg]) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_oversized_net_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "net.cfg",
+                           "problem = quadratic\nquantizer = net\nd = 10\n"
+                           "kappa = 10\nT = 20\n")
+        assert main(["run", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: net quantizer at d = 10, "
+                              "gamma = 0.3 would enumerate ")
+        assert err.count("\n") == 1
+
+    def test_net_run_at_d4(self, tmp_path, capsys):
+        # Z^4 at gamma = 0.3: 1737 codewords, so 11-bit frames
+        cfg = write_config(tmp_path / "net.cfg",
+                           "problem = quadratic\nquantizer = net\nd = 4\n"
+                           "kappa = 10\nT = 300\n")
+        out = tmp_path / "net.csv"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        tr = RunTrace.from_csv(out)
+        assert np.array_equal(np.diff(tr.bits), np.full(300, 11))
+        assert tr.f_gap[-1] < 1e-3 * tr.f_gap[0]
 
     def test_lqr_exact_naqgd_with_manual_noise(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "lqr.cfg",

@@ -5,9 +5,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqgd.errors import Overflow
+from aqgd.errors import ConfigError, Overflow
 from aqgd.quantize import (CodeFrame, build_net, decode, encode, pack_bits,
                            scalar_spec, unpack_bits)
+
+
+def cover_lattice(d, gamma):
+    """(cube side a, coset shifts) of the lattice build_net uses: Z^d
+    with a = 2 gamma/sqrt d, or D3* (body-centred cubic) with
+    a = 4 gamma/sqrt 5 at d = 3."""
+    if d == 3:
+        return 4 * gamma / math.sqrt(5), (0.0, 0.5)
+    return 2 * gamma / math.sqrt(d), (0.0,)
+
+
+def nearest_lattice_point(d, gamma, y):
+    """Round in each coset of a Z^d and keep the nearer point (Conway &
+    Sloane, IEEE Trans. IT 28(2), 1982)."""
+    a, shifts = cover_lattice(d, gamma)
+    cands = [a * (np.round(y / a - s) + s) for s in shifts]
+    return min(cands, key=lambda c: np.linalg.norm(c - y))
+
+
+def ball_sample(rng, n, d, R):
+    """n points in the closed ball of radius R, half of them on its sphere."""
+    x = rng.standard_normal((n, d))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    radii = np.where(np.arange(n) % 2 == 0, 1.0, rng.random(n) ** (1.0 / d))
+    return x * (R * radii)[:, None] * (1 - 1e-15)
 
 
 class TestPackBits:
@@ -151,6 +176,56 @@ class TestNetQuantizer:
         spec = build_net(2, 0.4)
         with pytest.raises(Overflow):
             encode(spec, np.array([2.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_encode_returns_the_nearest_codeword(self, d):
+        gamma, R = 0.3, 2.5
+        spec = build_net(d, gamma)
+        rng = np.random.default_rng(100 + d)
+        for x in ball_sample(rng, 400, d, R):
+            _, xhat = encode(spec, x, R)
+            brute = np.linalg.norm(R * spec.codebook - x, axis=1).min()
+            assert np.linalg.norm(xhat - x) == pytest.approx(brute, rel=1e-12)
+            # the codebook holds the nearest point of the whole lattice
+            p = nearest_lattice_point(d, gamma, x / R)
+            assert np.linalg.norm(xhat / R - x / R) <= \
+                np.linalg.norm(p - x / R) * (1 + 1e-12) + 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_deep_hole_error_equals_the_covering_radius(self, d):
+        # the radius is not smaller than claimed: a deep hole of the
+        # lattice sits exactly gamma from its nearest codeword
+        gamma, R = 0.3, 2.0
+        a, _ = cover_lattice(d, gamma)
+        hole = a * (np.array([0.5, 0.25, 0.0]) if d == 3 else np.full(d, 0.5))
+        _, xhat = encode(build_net(d, gamma), R * hole, R)
+        assert np.linalg.norm(xhat - R * hole) == pytest.approx(gamma * R,
+                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("d,gamma", [(1, 0.1), (1, 0.3), (2, 0.1),
+                                         (2, 0.3), (3, 0.1), (3, 0.3),
+                                         (4, 0.2), (4, 0.3)])
+    def test_dense_sample_within_covering_radius(self, d, gamma):
+        spec = build_net(d, gamma)
+        rng = np.random.default_rng(7 * d)
+        R = 1.5
+        worst = max(np.linalg.norm(encode(spec, x, R)[1] - x)
+                    for x in ball_sample(rng, 1500, d, R))
+        assert worst <= gamma * R * (1 + 1e-12)
+
+    def test_lowdim_codebook(self):
+        # D3* at the benchmark's gamma: 113 codewords, 7-bit frames
+        spec = build_net(3, (1.0 / 3.0) * (1.0 - 1.0 / 10.0))
+        assert len(spec.codebook) == 113 and spec.frame_bits == 7
+        norms = np.linalg.norm(spec.codebook, axis=1)
+        assert np.array_equal(spec.codebook[0], np.zeros(3))
+        assert np.all(np.diff(norms) >= -1e-12)
+        assert norms.max() <= 1.3 + 1e-12
+
+    def test_oversized_net_rejected(self):
+        with pytest.raises(ConfigError, match=r"d = 10, gamma = 0\.3 .* "
+                                              r"137858491849 lattice points"):
+            build_net(10, 0.3)
 
     def test_deterministic_build(self):
         a = build_net(2, 0.45)
