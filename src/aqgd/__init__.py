@@ -5,10 +5,9 @@ application."""
 from .errors import (AqgdError, ConfigError, Divergence, NoConvergence,
                      NotSchurStable, Overflow, Unstabilizing)
 from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
-from .lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
-                  calibrate_noise, constants_for, dare_optimum,
-                  estimate_gradient, estimate_local_smoothness, lqr_cost,
-                  lqr_grad, random_stable_instance)
+from .lqr import (EstimatorConfig, LqrOracle, LtiSystem, calibrate_noise,
+                  dare_optimum, estimate_gradient, estimate_local_smoothness,
+                  lqr_cost, lqr_grad, random_stable_instance)
 from .optimize import (GradOracle, RunTrace, default_alpha, potential,
                        rate_threshold_b, run)
 from .problems import (PerturbedOracle, QuadraticProblem, SineBowl,

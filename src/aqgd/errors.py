@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class AqgdError(Exception):
     """Base class for all package errors."""
@@ -27,3 +29,16 @@ class Divergence(AqgdError):
 
 class ConfigError(AqgdError):
     """An experiment configuration is invalid or inconsistent."""
+
+
+@contextmanager
+def reading(path):
+    """Raise an OSError or ValueError of the block again as a ConfigError
+    naming path: a file from outside the program that cannot be read or
+    parsed is a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lqr as lqr_mod
-from .errors import AqgdError, ConfigError
+from .errors import AqgdError, ConfigError, reading
 from .optimize import (LOOP_KINDS, RunTrace, default_alpha, rate_threshold_b,
                        run)
 from .problems import PerturbedOracle, SineBowl, make_quadratic
@@ -31,7 +31,6 @@ class ExperimentConfig:
     system_file: str = ""
     n: int = 5
     m: int = 3
-    rho_target: float = 0.8
     quantizer: str = "scalar"
     b: int = 0  # 0 means: pick the rate-preserving threshold
     alpha: float = 0.0  # 0 means: default for the problem kind
@@ -57,6 +56,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown noise mode {self.noise_mode!r}")
         if self.T < 0:
             raise ConfigError("T must be non-negative")
+        for name in ("d", "n", "m", "ell", "N"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if not self.kappa >= 1.0:
+            raise ConfigError("kappa must be at least 1")
+        if not self.r > 0.0:
+            raise ConfigError("perturbation radius r must be positive")
         if self.problem == "lqr-modelfree" and self.algorithm != "naqgd":
             # aqgd assumes exact gradients, and the baselines would descend
             # along them: only naqgd reads the model-free estimates
@@ -91,7 +97,7 @@ def config_value(key: str, text: str):
 def parse_config(path) -> ExperimentConfig:
     """Flat `key = value` lines, `#` comments, blank lines ignored."""
     values = {}
-    with open(path) as fh:
+    with reading(path), open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -121,20 +127,13 @@ def _build_problem(cfg: ExperimentConfig):
         if cfg.system_file:
             sys = lqr_mod.LtiSystem.load(cfg.system_file)
         else:
-            sys = lqr_mod.random_stable_instance(cfg.n, cfg.m, seed,
-                                                 rho_target=cfg.rho_target)
+            sys = lqr_mod.random_stable_instance(cfg.n, cfg.m, seed)
         est = (lqr_mod.EstimatorConfig(ell=cfg.ell, N=cfg.N, r=cfg.r, seed=seed)
                if cfg.problem == "lqr-modelfree" else None)
-        oracle = lqr_mod.LqrOracle(sys, est)
-        # the worst-case smoothness constant is far too conservative to
-        # drive the range recursion at experiment scale; measure the
-        # local one around the initial gain instead
-        K0 = np.zeros((sys.m, sys.n))
-        radius = 0.5 * min(oracle.D, 1.0)
-        oracle.L = lqr_mod.estimate_local_smoothness(sys, K0, radius, seed=seed)
+        oracle = lqr_mod.LqrOracle(sys, est, seed=seed)
         if est is not None:
             if cfg.noise_mode == "empirical":
-                eps = lqr_mod.calibrate_noise(sys, K0, est)
+                eps = lqr_mod.calibrate_noise(sys, np.zeros((sys.m, sys.n)), est)
             else:
                 eps = cfg.eps_manual
             eps_schedule = np.full(cfg.T + 2, eps)

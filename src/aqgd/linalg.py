@@ -108,12 +108,11 @@ def solve_discrete_lyapunov(M, W, transpose: bool = False) -> LyapunovSolution:
     return LyapunovSolution(P=X, iterations=it)
 
 
-def solve_dare(A, B, Q, R, Sigma_w=None):
+def solve_dare(A, B, Q, R):
     """Riccati fixed-point iteration from P0 = Q.
 
-    Returns ``(Pstar, Kstar, Jstar)`` where Kstar = -(R + B'PB)^{-1} B'PA
-    (so u = Kx closes the loop as A + BK) and Jstar = trace(Pstar Sigma_w),
-    or NaN when Sigma_w is not supplied.
+    Returns ``(Pstar, Kstar)`` where Kstar = -(R + B'PB)^{-1} B'PA (so
+    u = Kx closes the loop as A + BK).
     """
     A = _as_square(A)
     B = np.asarray(B, dtype=float)
@@ -137,8 +136,4 @@ def solve_dare(A, B, Q, R, Sigma_w=None):
         raise NoConvergence(f"DARE iteration cap {DARE_MAX_ITER} reached")
     BtP = B.T @ P
     Kstar = -np.linalg.solve(R + BtP @ B, BtP @ A)
-    if Sigma_w is None:
-        Jstar = float("nan")
-    else:
-        Jstar = float(np.trace(P @ np.asarray(Sigma_w, dtype=float)))
-    return P, Kstar, Jstar
+    return P, Kstar

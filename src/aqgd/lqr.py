@@ -1,19 +1,20 @@
-"""Discrete-time LQR: exact cost/gradient via Lyapunov solves, policy
-smoothness/domination constants, the perturbed single-trajectory
-gradient estimator, and empirical calibration of its error bound and of
-the local smoothness.  LqrOracle exposes policies to the generic
-optimizer as column-major vectors.
+"""Discrete-time LQR: exact cost/gradient via Lyapunov solves, the
+perturbed single-trajectory gradient estimator, and empirical
+calibration of its error bound and of the local smoothness.  LqrOracle
+exposes policies to the generic optimizer as column-major vectors and
+carries the constants a run reads: the measured smoothness L and the
+gradient-domination constant mu, with G and D.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSchurStable, Unstabilizing
+from .errors import NotSchurStable, Unstabilizing, reading
 from .linalg import solve_dare, solve_discrete_lyapunov, spectral_radius
 from .optimize import GradOracle
 
@@ -22,24 +23,22 @@ STATE_BLOWUP = 1e12
 SAFETY = 1.5
 
 
-def _check_spd(M: np.ndarray, name: str, strict: bool = True) -> None:
+def _check_spd(M: np.ndarray, name: str) -> None:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ValueError(f"{name} must be symmetric")
     lam = float(np.linalg.eigvalsh(M)[0])
-    if strict and lam <= 0:
+    if lam <= 0:
         raise ValueError(f"{name} must be positive definite (lambda_min = {lam:.3g})")
-    if not strict and lam < -1e-12:
-        raise ValueError(f"{name} must be positive semidefinite")
 
 
 @dataclass(frozen=True)
 class LtiSystem:
     """x_{k+1} = A x_k + B u_k + w_k with stage cost x'Qx + u'Ru and
-    process noise w_k ~ N(0, Sigma_w).  Sigma_w may be zero (noise-free
-    simulation mode); Q and R must be strictly positive definite."""
+    process noise w_k ~ N(0, Sigma_w).  Q, R and Sigma_w must be
+    positive definite."""
 
     A: np.ndarray
     B: np.ndarray
@@ -60,7 +59,7 @@ class LtiSystem:
             raise ValueError("R must be m x m matching B's columns")
         _check_spd(Q, "Q")
         _check_spd(R, "R")
-        _check_spd(W, "Sigma_w", strict=False)
+        _check_spd(W, "Sigma_w")
         for name, val in (("A", A), ("B", B), ("Q", Q), ("R", R), ("Sigma_w", W)):
             object.__setattr__(self, name, val)
 
@@ -82,24 +81,28 @@ class LtiSystem:
 
     @classmethod
     def load(cls, path) -> "LtiSystem":
-        with open(path) as fh:
-            text = fh.read()
-        blocks = [blk for blk in text.split("\n\n") if blk.strip()]
-        header = blocks[0].splitlines()[0].split()
-        n, m = int(header[0]), int(header[1])
-        rest = "\n".join(blocks[0].splitlines()[1:])
-        mats = ([rest] if rest.strip() else []) + blocks[1:]
-        if len(mats) != 5:
-            raise ValueError(f"expected 5 matrix blocks, found {len(mats)}")
-        parsed = []
-        for blk, (r, c) in zip(mats, [(n, n), (n, m), (n, n), (m, m), (n, n)]):
-            rows = [[float(tok) for tok in line.split()] for line in blk.splitlines()
-                    if line.strip()]
-            M = np.array(rows, dtype=float)
-            if M.shape != (r, c):
-                raise ValueError(f"matrix block has shape {M.shape}, expected {(r, c)}")
-            parsed.append(M)
-        return cls(*parsed)
+        """The system saved at path; raises ConfigError naming the file
+        when it cannot be read, parsed or accepted."""
+        with reading(path):
+            with open(path) as fh:
+                text = fh.read()
+            blocks = [blk for blk in text.split("\n\n") if blk.strip()]
+            if not blocks:
+                raise ValueError("empty file")
+            n, m = (int(tok) for tok in blocks[0].splitlines()[0].split())
+            rest = "\n".join(blocks[0].splitlines()[1:])
+            mats = ([rest] if rest.strip() else []) + blocks[1:]
+            if len(mats) != 5:
+                raise ValueError(f"expected 5 matrix blocks, found {len(mats)}")
+            parsed = []
+            for blk, (r, c) in zip(mats, [(n, n), (n, m), (n, n), (m, m), (n, n)]):
+                rows = [[float(tok) for tok in line.split()] for line in blk.splitlines()
+                        if line.strip()]
+                M = np.array(rows, dtype=float)
+                if M.shape != (r, c):
+                    raise ValueError(f"matrix block has shape {M.shape}, expected {(r, c)}")
+                parsed.append(M)
+            return cls(*parsed)
 
 
 def _closed_loop_solves(sys: LtiSystem, K: np.ndarray):
@@ -153,62 +156,10 @@ def lqr_grad(sys: LtiSystem, K) -> np.ndarray:
 
 
 def dare_optimum(sys: LtiSystem):
-    """(Pstar, Kstar, Jstar) for the infinite-horizon problem."""
-    return solve_dare(sys.A, sys.B, sys.Q, sys.R, Sigma_w=sys.Sigma_w)
-
-
-@dataclass(frozen=True)
-class LqrConstants:
-    """Landscape constants of the cost over the sublevel set
-    {K : J(K) <= Jbar}: decay envelope (zeta, eta), gradient bound G,
-    local smoothness L, smoothness radius D, and gradient-domination
-    constant mu.  Every argument but n must be positive; beta1 > 1 warns,
-    because the constants assume a cost normalization with beta1 <= 1."""
-
-    beta0: float
-    beta1: float
-    sigma_w_sq: float
-    psi: float
-    Jbar: float
-    n: int
-    zeta: float = field(init=False)
-    eta: float = field(init=False)
-    G: float = field(init=False)
-    L: float = field(init=False)
-    D: float = field(init=False)
-    mu: float = field(init=False)
-
-    def __post_init__(self):
-        for name in ("beta0", "beta1", "sigma_w_sq", "psi", "Jbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.beta1 > 1.0:
-            # stacklevel 3 names the caller of the generated __init__
-            warnings.warn(
-                f"beta1 = {self.beta1:.3g} > 1; the landscape constants assume a "
-                "cost normalization with beta1 <= 1", stacklevel=3,
-            )
-        b0, s2, psi, J = self.beta0, self.sigma_w_sq, self.psi, self.Jbar
-        zeta = math.sqrt(J / (b0 * s2))
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "eta", 1.0 - 1.0 / (2.0 * zeta * zeta))
-        object.__setattr__(self, "G",
-                           (2.0 * J / (b0 * s2)) * math.sqrt((s2 + psi * psi * J) * J))
-        object.__setattr__(self, "L",
-                           112.0 * math.sqrt(self.n) * J * psi * psi * zeta**8 / b0)
-        object.__setattr__(self, "D", 1.0 / (psi * zeta**3))
-        object.__setattr__(self, "mu", 2.0 * J / zeta**4)
-
-
-def constants_for(sys: LtiSystem) -> LqrConstants:
-    """Read (beta0, beta1, sigma_w^2, psi) off the system matrices, with
-    Jbar = 4 J(0): the sublevel set of the zero initial gain."""
-    Jbar = 4.0 * lqr_cost(sys, np.zeros((sys.m, sys.n)))
-    beta0 = float(min(np.linalg.eigvalsh(sys.Q)[0], np.linalg.eigvalsh(sys.R)[0]))
-    beta1 = float(np.linalg.eigvalsh(sys.R)[-1])
-    sigma_w_sq = float(np.linalg.eigvalsh(sys.Sigma_w)[0])
-    psi = float(max(np.linalg.norm(sys.A, 2), np.linalg.norm(sys.B, 2), 1.0))
-    return LqrConstants(beta0, beta1, sigma_w_sq, psi, Jbar, sys.n)
+    """(Pstar, Kstar, Jstar) for the infinite-horizon problem, with
+    Jstar = trace(Pstar Sigma_w)."""
+    P, K = solve_dare(sys.A, sys.B, sys.Q, sys.R)
+    return P, K, float(np.trace(P @ sys.Sigma_w))
 
 
 @dataclass(frozen=True)
@@ -229,10 +180,8 @@ class EstimatorConfig:
             raise ValueError("perturbation radius r must be positive")
 
 
-def _noise_chol(sys: LtiSystem) -> np.ndarray | None:
-    if not np.any(sys.Sigma_w):
-        return None
-    # tiny jitter-free PSD factorization via eigendecomposition
+def _noise_chol(sys: LtiSystem) -> np.ndarray:
+    # a factor C with C C' = Sigma_w, from the eigendecomposition
     lam, V = np.linalg.eigh(sys.Sigma_w)
     lam = np.clip(lam, 0.0, None)
     return V * np.sqrt(lam)
@@ -241,20 +190,19 @@ def _noise_chol(sys: LtiSystem) -> np.ndarray | None:
 def _perturbations(sys: LtiSystem, cfg: EstimatorConfig, t: int):
     """The estimator's random draws: unit-Frobenius-norm perturbations U
     (ell, m, n) and process noise W (N, ell, n), W[k, i] = w_k of
-    trajectory i (None when Sigma_w = 0).  Trajectory i draws U_i, then
+    trajectory i.  Trajectory i draws U_i, then
     its N noise vectors, from its own stream keyed by (cfg.seed, t, i)."""
     n, m = sys.n, sys.m
     ell, N = cfg.ell, cfg.N
     C = _noise_chol(sys)
     U = np.empty((ell, m, n))
-    W = np.empty((N, ell, n)) if C is not None else None
+    W = np.empty((N, ell, n))
     z = np.empty((N, n))
     for i in range(ell):
         g = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
         g.standard_normal(out=U[i])
-        if C is not None:
-            g.standard_normal(out=z)
-            np.matmul(z, C.T, out=W[:, i])
+        g.standard_normal(out=z)
+        np.matmul(z, C.T, out=W[:, i])
     # ||U_i||^2 by the same dot product np.linalg.norm takes
     u = U.reshape(ell, 1, m * n)
     U /= np.sqrt(u @ u.transpose(0, 2, 1))
@@ -286,8 +234,6 @@ def estimate_gradient(sys: LtiSystem, K, cfg: EstimatorConfig, t: int = 0) -> np
         Kp = K[None, :, :] + r * U                      # (ell, m, n)
         M = sys.A[None, :, :] + np.einsum("ij,tjk->tik", sys.B, Kp)
         Qeff = sys.Q[None, :, :] + np.einsum("tji,jk,tkl->til", Kp, sys.R, Kp)
-        if W is None:  # no noise from x_0 = 0: every state and cost is zero
-            return np.zeros((m, n))
         for k in range(1, N):  # W[0] = x_1 = w_0 already
             W[k] += np.einsum("tij,tj->ti", M, W[k - 1])
         X = W[:N - 1].transpose(1, 0, 2)                # (ell, N-1, n)
@@ -365,19 +311,39 @@ class LqrOracle(GradOracle):
     also serves perturbed-trajectory estimates as noisy gradients (keyed
     to the iteration counter so streams never repeat).  ``gap_and_grad``
     takes the cost and the exact gradient from one closed-loop solve.
+
+    Over the sublevel set {K : J(K) <= Jbar}, Jbar = 4 J(0), the cost has
+    gradient-domination constant mu, gradient bound G and smoothness
+    radius D (Fazel et al., ICML 2018), read off the system matrices.
+    Its worst-case smoothness constant is far too conservative to drive
+    the range recursion, so L is the local one, measured with the given
+    seed within 0.5 min(D, 1) of K0 = 0.  beta1 = lambda_max(R) > 1
+    warns: the constants assume a cost normalization with beta1 <= 1.
     """
 
-    def __init__(self, sys: LtiSystem, cfg: EstimatorConfig | None = None):
+    def __init__(self, sys: LtiSystem, cfg: EstimatorConfig | None = None,
+                 seed: int = 0):
         self.sys = sys
         self.cfg = cfg
         self.d = sys.m * sys.n
-        consts = constants_for(sys)
-        self.L = consts.L
-        self.mu = consts.mu
-        self.G = consts.G
-        self.D = consts.D
+        K0 = np.zeros((sys.m, sys.n))
+        Jbar = 4.0 * lqr_cost(sys, K0)
+        beta0 = float(min(np.linalg.eigvalsh(sys.Q)[0], np.linalg.eigvalsh(sys.R)[0]))
+        beta1 = float(np.linalg.eigvalsh(sys.R)[-1])
+        if beta1 > 1.0:
+            warnings.warn(
+                f"beta1 = {beta1:.3g} > 1; the landscape constants assume a "
+                "cost normalization with beta1 <= 1", stacklevel=2,
+            )
+        s2 = float(np.linalg.eigvalsh(sys.Sigma_w)[0])
+        psi = float(max(np.linalg.norm(sys.A, 2), np.linalg.norm(sys.B, 2), 1.0))
+        zeta = math.sqrt(Jbar / (beta0 * s2))
+        self.G = (2.0 * Jbar / (beta0 * s2)) * math.sqrt((s2 + psi * psi * Jbar) * Jbar)
+        self.D = 1.0 / (psi * zeta**3)
+        self.mu = 2.0 * Jbar / zeta**4
         _, _, Jstar = dare_optimum(sys)
         self.f_star = Jstar
+        self.L = estimate_local_smoothness(sys, K0, 0.5 * min(self.D, 1.0), seed=seed)
 
     def _mat(self, x) -> np.ndarray:
         # a C-ordered copy, so the products see K in its usual memory layout

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, Divergence
+from .errors import ConfigError, Divergence, reading
 from .quantize import QuantizerSpec, decode, encode
 
 DIVERGENCE_FACTOR = 1e6
@@ -104,8 +104,10 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, path) -> "RunTrace":
+        """The trace written by to_csv at path; raises ConfigError naming
+        the file when it cannot be read or parsed."""
         cols: list[list[float]] = [[] for _ in range(8)]
-        with open(path) as fh:
+        with reading(path), open(path) as fh:
             header = fh.readline().strip()
             if header != cls.CSV_HEADER:
                 raise ValueError(f"unexpected CSV header: {header!r}")

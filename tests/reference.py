@@ -1,14 +1,73 @@
-"""Reference computations that only the tests use: a per-step LQR
-trajectory simulator, the aggregate noise level of the NAQGD envelope,
-and a sampled gradient-domination check."""
+"""Reference computations that only the tests use: the worst-case LQR
+landscape constants, a per-step LQR trajectory simulator, the aggregate
+noise level of the NAQGD envelope, and a sampled gradient-domination
+check."""
 
 from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from aqgd.errors import Unstabilizing
-from aqgd.lqr import STATE_BLOWUP, LtiSystem, _noise_chol
+from aqgd.lqr import STATE_BLOWUP, LtiSystem, _noise_chol, lqr_cost
 from aqgd.optimize import GradOracle
+
+
+@dataclass(frozen=True)
+class LqrConstants:
+    """Landscape constants of the cost over the sublevel set
+    {K : J(K) <= Jbar}: decay envelope (zeta, eta), gradient bound G,
+    local smoothness L, smoothness radius D, and gradient-domination
+    constant mu.  Every argument but n must be positive; beta1 > 1 warns,
+    because the constants assume a cost normalization with beta1 <= 1."""
+
+    beta0: float
+    beta1: float
+    sigma_w_sq: float
+    psi: float
+    Jbar: float
+    n: int
+    zeta: float = field(init=False)
+    eta: float = field(init=False)
+    G: float = field(init=False)
+    L: float = field(init=False)
+    D: float = field(init=False)
+    mu: float = field(init=False)
+
+    def __post_init__(self):
+        for name in ("beta0", "beta1", "sigma_w_sq", "psi", "Jbar"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.beta1 > 1.0:
+            # stacklevel 3 names the caller of the generated __init__
+            warnings.warn(
+                f"beta1 = {self.beta1:.3g} > 1; the landscape constants assume a "
+                "cost normalization with beta1 <= 1", stacklevel=3,
+            )
+        b0, s2, psi, J = self.beta0, self.sigma_w_sq, self.psi, self.Jbar
+        zeta = math.sqrt(J / (b0 * s2))
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "eta", 1.0 - 1.0 / (2.0 * zeta * zeta))
+        object.__setattr__(self, "G",
+                           (2.0 * J / (b0 * s2)) * math.sqrt((s2 + psi * psi * J) * J))
+        object.__setattr__(self, "L",
+                           112.0 * math.sqrt(self.n) * J * psi * psi * zeta**8 / b0)
+        object.__setattr__(self, "D", 1.0 / (psi * zeta**3))
+        object.__setattr__(self, "mu", 2.0 * J / zeta**4)
+
+
+def constants_for(sys: LtiSystem) -> LqrConstants:
+    """Read (beta0, beta1, sigma_w^2, psi) off the system matrices, with
+    Jbar = 4 J(0): the sublevel set of the zero initial gain."""
+    Jbar = 4.0 * lqr_cost(sys, np.zeros((sys.m, sys.n)))
+    beta0 = float(min(np.linalg.eigvalsh(sys.Q)[0], np.linalg.eigvalsh(sys.R)[0]))
+    beta1 = float(np.linalg.eigvalsh(sys.R)[-1])
+    sigma_w_sq = float(np.linalg.eigvalsh(sys.Sigma_w)[0])
+    psi = float(max(np.linalg.norm(sys.A, 2), np.linalg.norm(sys.B, 2), 1.0))
+    return LqrConstants(beta0, beta1, sigma_w_sq, psi, Jbar, sys.n)
 
 
 def rollout(sys: LtiSystem, K_play, N: int, rng: np.random.Generator):
@@ -29,7 +88,7 @@ def rollout(sys: LtiSystem, K_play, N: int, rng: np.random.Generator):
         u = K_play @ x
         inputs[k] = u
         cost += float(x @ sys.Q @ x + u @ sys.R @ u)
-        w = C @ rng.standard_normal(n) if C is not None else 0.0
+        w = C @ rng.standard_normal(n)
         x = sys.A @ x + sys.B @ u + w
         if np.linalg.norm(x) > STATE_BLOWUP:
             raise Unstabilizing(

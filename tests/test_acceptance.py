@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from aqgd.harness import ExperimentConfig, fit_rate, run_experiment, run_repeats
-from aqgd.lqr import (EstimatorConfig, constants_for, dare_optimum,
-                      estimate_gradient, lqr_cost, lqr_grad,
-                      random_stable_instance)
+from aqgd.lqr import (EstimatorConfig, dare_optimum, estimate_gradient,
+                      lqr_cost, lqr_grad, random_stable_instance)
 from aqgd.optimize import rate_threshold_b, run
 from aqgd.problems import PerturbedOracle, make_quadratic
 from aqgd.quantize import build_net, decode, encode, scalar_spec
-from reference import bar_epsilon_sq
+from reference import bar_epsilon_sq, constants_for
 
 
 def emit(capsys, line):
@@ -189,19 +188,12 @@ def test_criterion_06_lqr_gradient(capsys):
 
 
 def test_criterion_07_exact_gradient_lqr(lqr_instance, capsys):
-    from aqgd.lqr import LqrOracle, estimate_local_smoothness
+    from aqgd.lqr import LqrOracle
     t0 = time.perf_counter()
-    sys = lqr_instance
-    oracle = LqrOracle(sys)
-    consts = constants_for(sys)
-    # the worst-case smoothness constant is astronomically conservative;
-    # drive the range recursion with the measured local one, as the
-    # experiment harness does
-    K0 = np.zeros((sys.m, sys.n))
-    oracle.L = estimate_local_smoothness(sys, K0, 0.5 * min(oracle.D, 1.0),
-                                         seed=3)
+    # the oracle's L is the measured local smoothness, as in the harness
+    oracle = LqrOracle(lqr_instance, seed=3)
     quant = scalar_spec(oracle.d, 8)
-    trace = run("aqgd", oracle, quant, 1e-3, consts.G, 200)
+    trace = run("aqgd", oracle, quant, 1e-3, oracle.G, 200)
     elapsed = time.perf_counter() - t0
     gap0 = trace.f_gap[0]
     below = np.nonzero(trace.f_gap <= 0.01 * gap0)[0]

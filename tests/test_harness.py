@@ -294,14 +294,46 @@ class TestCli:
         "alpha = 1e-3\n",
         "problem = lqr-modelfree\nalgorithm = gd-unquantized\n",
         "problem = lqr-modelfree\nalgorithm = gd-static-quantized\n",
+        "d = 0\n",
+        "kappa = 0.5\n",
+        "problem = lqr-modelfree\nalgorithm = naqgd\nell = 0\n",
+        "problem = lqr-exact\nn = 0\n",
+        "rho_target = 0.5\n",
+        None,
+        "problem = lqr-exact\nsystem_file = {dir}/missing.sys\n",
+        "problem = lqr-exact\nsystem_file = {dir}/malformed.sys\n",
+        "problem = lqr-exact\nsystem_file = {dir}/empty.sys\n",
+        "problem = lqr-exact\nsystem_file = {dir}/singular.sys\n",
     ], ids=["problem=cubic", "noise_mode=theory", "delta=0.1",
             "lqr-exact-naqgd-without-manual-noise",
-            "lqr-modelfree-gd-unquantized", "lqr-modelfree-gd-static-quantized"])
+            "lqr-modelfree-gd-unquantized", "lqr-modelfree-gd-static-quantized",
+            "d=0", "kappa=0.5", "ell=0", "n=0", "rho_target=0.5",
+            "missing-config-file", "missing-system-file",
+            "malformed-system-file", "empty-system-file",
+            "singular-noise-covariance"])
     def test_config_error_exit_code(self, tmp_path, capsys, text):
-        cfg = write_config(tmp_path / "bad.cfg", text)
+        # 1 x 1 systems: one with a block missing, one with Sigma_w = 0
+        (tmp_path / "malformed.sys").write_text("1 1\n\n0.5\n\n1\n")
+        (tmp_path / "empty.sys").write_text("")
+        (tmp_path / "singular.sys").write_text("1 1\n\n0.5\n\n1\n\n1\n\n1\n\n0\n")
+        cfg = str(tmp_path / "bad.cfg")
+        if text is not None:
+            write_config(tmp_path / "bad.cfg", text.format(dir=tmp_path))
         assert main(["run", cfg]) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [None, "t,gap\n",
+                                      RunTrace.CSV_HEADER + "\n0,x\n"],
+                             ids=["missing", "bad-header", "bad-row"])
+    def test_fit_config_error_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "trace.csv"
+        if text is not None:
+            path.write_text(text)
+        assert main(["fit", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert err.count("\n") == 1
 
     def test_oversized_net_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "net.cfg",

@@ -8,13 +8,13 @@ import aqgd.linalg
 import aqgd.lqr
 from aqgd.errors import Unstabilizing
 from aqgd.linalg import spectral_radius
-from aqgd.lqr import (EstimatorConfig, LqrConstants, LqrOracle, LtiSystem,
-                      calibrate_noise, constants_for, dare_optimum,
-                      estimate_gradient, estimate_local_smoothness, lqr_cost,
-                      lqr_grad, random_stable_instance)
+from aqgd.lqr import (EstimatorConfig, LqrOracle, LtiSystem, calibrate_noise,
+                      dare_optimum, estimate_gradient,
+                      estimate_local_smoothness, lqr_cost, lqr_grad,
+                      random_stable_instance)
 from aqgd.optimize import run
 from aqgd.quantize import scalar_spec
-from reference import rollout
+from reference import LqrConstants, constants_for, rollout
 
 
 def vec(K):
@@ -24,10 +24,6 @@ def vec(K):
 
 def scalar_system():
     return LtiSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[1.0]])
-
-
-def zero_noise_scalar():
-    return LtiSystem([[0.5]], [[1.0]], [[1.0]], [[1.0]], [[0.0]])
 
 
 class TestLtiSystem:
@@ -45,8 +41,12 @@ class TestLtiSystem:
         with pytest.raises(ValueError):
             LtiSystem(np.eye(2), np.ones((2, 1)), Q, np.eye(1), np.eye(2))
 
-    def test_zero_noise_covariance_allowed(self):
-        zero_noise_scalar()
+    @pytest.mark.parametrize("W", [[[0.0]], np.diag([1.0, 1.0, 0.0])],
+                             ids=["zero", "rank-deficient"])
+    def test_singular_noise_covariance_rejected(self, W):
+        n = len(W)
+        with pytest.raises(ValueError, match="Sigma_w must be positive definite"):
+            LtiSystem(0.5 * np.eye(n), np.ones((n, 1)), np.eye(n), np.eye(1), W)
 
     def test_file_roundtrip(self, tmp_path):
         sys = random_stable_instance(4, 2, seed=5)
@@ -177,13 +177,6 @@ class TestConstants:
 
 
 class TestRollout:
-    def test_zero_noise_stays_at_origin(self):
-        states, inputs, cost = rollout(zero_noise_scalar(), [[0.3]], 50,
-                                       np.random.default_rng(0))
-        assert np.all(states == 0)
-        assert np.all(inputs == 0)
-        assert cost == 0.0
-
     def test_single_step_structure(self):
         rng = np.random.default_rng(1)
         states, inputs, cost = rollout(scalar_system(), [[0.0]], 1, rng)
@@ -225,11 +218,6 @@ class TestRollout:
 
 
 class TestEstimator:
-    def test_zero_noise_gives_exact_zero(self):
-        cfg = EstimatorConfig(ell=16, N=20, r=0.05, seed=0)
-        out = estimate_gradient(zero_noise_scalar(), np.array([[0.0]]), cfg)
-        assert np.array_equal(out, np.zeros((1, 1)))
-
     def test_output_shape_and_unit_perturbations(self):
         sys = random_stable_instance(3, 2, seed=13)
         cfg = EstimatorConfig(ell=8, N=30, r=0.1, seed=14)
@@ -276,13 +264,12 @@ def reference_estimate(sys, K, cfg, t=0):
     ell, N, r = cfg.ell, cfg.N, cfg.r
     C = aqgd.lqr._noise_chol(sys)
     U = np.empty((ell, m, n))
-    W = np.zeros((ell, N, n)) if C is not None else None
+    W = np.zeros((ell, N, n))
     for i in range(ell):
         g = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, i]))
         Ui = g.standard_normal((m, n))
         U[i] = Ui / np.linalg.norm(Ui)
-        if C is not None:
-            W[i] = g.standard_normal((N, n)) @ C.T
+        W[i] = g.standard_normal((N, n)) @ C.T
     Kp = K[None, :, :] + r * U
     M = sys.A[None, :, :] + np.einsum("ij,tjk->tik", sys.B, Kp)
     Qeff = sys.Q[None, :, :] + np.einsum("tji,jk,tkl->til", Kp, sys.R, Kp)
@@ -290,9 +277,7 @@ def reference_estimate(sys, K, cfg, t=0):
     costs = np.zeros(ell)
     for k in range(N):
         costs += np.einsum("ti,tij,tj->t", x, Qeff, x)
-        x = np.einsum("tij,tj->ti", M, x)
-        if W is not None:
-            x = x + W[:, k, :]
+        x = np.einsum("tij,tj->ti", M, x) + W[:, k, :]
         if np.max(np.einsum("ti,ti->t", x, x)) > 1e24:
             raise Unstabilizing("state norm exceeded 1e+12 during estimation")
     scale = m * n / (r * N * ell)
@@ -325,9 +310,9 @@ class TestEstimatorKernel:
         np.testing.assert_allclose(U, U_ref, rtol=1e-15, atol=0)
         assert np.array_equal(W.transpose(1, 0, 2), W_ref)
 
-    def test_noise_free_gain_shape_still_checked(self):
+    def test_gain_shape_checked(self):
         sys = LtiSystem(0.5 * np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(1),
-                        np.zeros((2, 2)))
+                        np.eye(2))
         cfg = EstimatorConfig(ell=4, N=10, r=0.1)
         with pytest.raises(ValueError):
             estimate_gradient(sys, np.zeros((1, 3)), cfg)
@@ -473,8 +458,6 @@ class TestOracle:
     def test_run_solves_once_per_record(self, monkeypatch):
         sys = random_stable_instance(4, 2, seed=23)
         orc = LqrOracle(sys)
-        # the local smoothness, as the harness sets it
-        orc.L = estimate_local_smoothness(sys, np.zeros((2, 4)), 0.5 * min(orc.D, 1.0))
         R0 = 1.5 * float(np.linalg.norm(orc.eval_grad(orc.x0())))
         calls = {"lyapunov": 0}
         real = aqgd.lqr.solve_discrete_lyapunov
@@ -488,6 +471,24 @@ class TestOracle:
         trace = run("aqgd", orc, scalar_spec(orc.d, 8), 1 / (6 * orc.L), R0, T)
         assert len(trace) == T + 1
         assert calls["lyapunov"] == 2 * (T + 1)
+
+    def test_constants_match_reference(self):
+        for seed in range(20):
+            sys = random_stable_instance(3, 2, seed=seed)
+            orc, c = LqrOracle(sys), constants_for(sys)
+            assert (orc.mu, orc.G, orc.D) == (c.mu, c.G, c.D)
+
+    def test_local_smoothness_at_zero_gain(self):
+        sys = random_stable_instance(4, 2, seed=23)
+        orc = LqrOracle(sys, seed=5)
+        assert orc.L == estimate_local_smoothness(
+            sys, np.zeros((2, 4)), 0.5 * min(orc.D, 1.0), seed=5)
+
+    def test_beta1_above_one_warns(self):
+        # R = 5 I, so beta1 = 5; the warning names the caller's line
+        with pytest.warns(UserWarning, match="beta1 = 5 > 1") as record:
+            LqrOracle(random_stable_instance(3, 2, seed=0))
+        assert record[0].filename == __file__
 
     def test_f_star_from_riccati(self):
         sys = random_stable_instance(3, 2, seed=21)
